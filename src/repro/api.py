@@ -5,7 +5,7 @@ and querying — with one spelling per concept:
 
     import repro
 
-    index = repro.build(graph, bandwidth=16, workers=4, backend="flat")
+    index = repro.build(graph, bandwidth=16, backend="flat")
     repro.save(index, "index.bin", format="binary")
     index = repro.load("index.bin")
     repro.query(index, 0, 9)
@@ -79,7 +79,9 @@ class BuildConfig:
     is exactness-preserving but *not* fingerprint-preserving: a
     non-degree hub order builds a different (still canonical for that
     order) label set, which is why it is restricted to
-    ``core_backend="hopdb"``.
+    ``core_backend="hopdb"``.  ``workers`` fans out only the vectorized
+    PSL core rounds, so it takes effect only with ``core_backend="psl"``
+    on an unweighted core (bandwidth 0).
     """
 
     bandwidth: int = 20

@@ -11,7 +11,7 @@ number is recorded** — a wrong answer raises
 The run ends with a rebuild-verify-swap cycle
 (:class:`~repro.dynamic.BackgroundReindexer`); the swapped-in base must
 answer ground truth *and* match the canonical fingerprint of an
-independent serial rebuild of the same snapshot, pinning the
+independent rebuild of the same snapshot, pinning the
 determinism guarantee under churn.
 
 ``run_dynamic_bench`` sweeps the registry datasets and appends one
@@ -158,10 +158,9 @@ def dynamic_bench_result(
     batch_size: int = DEFAULT_BATCH_SIZE,
     queries_per_batch: int = DEFAULT_QUERIES_PER_BATCH,
     seed: int = 0,
-    workers: int | None = None,
 ) -> DynamicBenchResult:
     """Measure one graph under churn; raises on any wrong answer."""
-    base = CTIndex.build(graph, bandwidth, backend="flat", workers=workers)
+    base = CTIndex.build(graph, bandwidth, backend="flat")
     overlay = DeltaOverlayIndex(base)
     stream = _ChurnStream(graph, seed)
     rng = random.Random(seed + 1)
@@ -203,10 +202,10 @@ def dynamic_bench_result(
                 )
             verified += 1
 
-    # Rebuild-verify-swap, then pin determinism: an independent serial
+    # Rebuild-verify-swap, then pin determinism: an independent
     # rebuild of the same snapshot must produce the same fingerprint.
     snapshot_graph = overlay.materialize_current()
-    reindexer = BackgroundReindexer(overlay, workers=workers)
+    reindexer = BackgroundReindexer(overlay)
     result = reindexer.rebuild_once()
     independent = CTIndex.build(
         snapshot_graph, bandwidth, backend=base.storage_backend
@@ -287,7 +286,6 @@ def run_dynamic_bench(
     batch_size: int = DEFAULT_BATCH_SIZE,
     queries: int = DEFAULT_QUERIES_PER_BATCH,
     seed: int = 0,
-    workers: int | None = None,
     output=BENCH_DYNAMIC_PATH,
 ) -> tuple[list[dict], str]:
     """Sweep ``datasets`` (default :data:`DEFAULT_DATASETS`), record entries.
@@ -306,7 +304,6 @@ def run_dynamic_bench(
             batch_size=batch_size,
             queries_per_batch=queries,
             seed=seed,
-            workers=workers,
         )
         if output is not None:
             record_dynamic_entry(result, output)

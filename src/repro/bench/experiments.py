@@ -652,19 +652,6 @@ def serving_benchmark(
     return rows, text
 
 
-def build_benchmark(
-    datasets=None, bandwidth: int = 20, worker_counts=(1, 2, 4)
-) -> tuple[list[Row], str]:
-    """Serial vs parallel construction on representative registry graphs.
-
-    Verifies byte-identity across worker counts and appends the measured
-    speedups to ``BENCH_build.json`` (see :mod:`repro.bench.build_bench`).
-    """
-    from repro.bench.build_bench import run_build_bench
-
-    return run_build_bench(datasets, bandwidth, worker_counts=worker_counts)
-
-
 def storage_benchmark(datasets=None, bandwidth: int = 20) -> tuple[list[Row], str]:
     """Dict-vs-flat label residency and JSON-vs-binary load comparison.
 
@@ -700,7 +687,6 @@ class ExperimentCatalog:
         "directed": directed_extension,
         "structure": structure_profile,
         "serving": serving_benchmark,
-        "build": build_benchmark,
         "storage": storage_benchmark,
     }
 

@@ -186,8 +186,7 @@ def obs_bench_result(
 def record_obs_entry(result: ObsBenchResult, path=BENCH_OBS_PATH) -> dict:
     """Append ``result`` to the ``BENCH_obs.json`` history document.
 
-    Same contract as :func:`repro.bench.build_bench.record_entry`: a
-    missing or corrupt file starts a fresh history.
+    A missing or corrupt file starts a fresh history.
     """
     path = Path(path)
     document = {"schema": 1, "entries": []}

@@ -3,7 +3,7 @@
 Subcommands::
 
     repro stats GRAPH                     structural summary of an edge list
-    repro build GRAPH -d 20 -o IDX.json   build and save a CT-Index (--workers N parallel)
+    repro build GRAPH -d 20 -o IDX.json   build and save a CT-Index
     repro query IDX.json S T [S T ...]    answer distance queries
     repro find-bandwidth GRAPH --memory-mb 2
     repro generate DATASET -o GRAPH       dump a registry dataset
@@ -12,7 +12,6 @@ Subcommands::
     repro serve IDX --dynamic             …accepting POST /mutate + /reindex (overlay)
     repro serve-bench GRAPH -d 20         cached vs uncached serving on a skewed stream
     repro server-bench GRAPH -d 20        HTTP load generator: RPS + p50/p99/p999
-    repro build-bench GRAPH -d 20         serial vs parallel construction speedup
     repro storage-bench GRAPH -d 20       dict vs flat labels, JSON vs binary snapshots
     repro fleet-bench GRAPH -d 20         N-worker serving over one mapped snapshot
     repro dynamic-bench GRAPH -d 20       update throughput + latency under churn (verified)
@@ -146,8 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel build (0 = one per CPU; "
-        "any count builds the identical index)",
+        help="worker processes for the vectorized PSL core rounds, which "
+        "run only with --core-backend psl at -d 0 (0 = one per CPU; any "
+        "count builds the identical index)",
     )
     p_build.add_argument(
         "--chunked",
@@ -259,12 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="auto-trigger a background rebuild once this many mutations "
         "are pending since the last swap (default: manual /reindex only)",
     )
-    p_srv.add_argument(
-        "--reindex-workers",
-        type=int,
-        default=None,
-        help="worker processes for background rebuilds (0 = one per CPU)",
-    )
     p_srv.set_defaults(handler=_cmd_serve)
 
     p_serve = sub.add_parser(
@@ -337,25 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_svbench.set_defaults(handler=_cmd_server_bench)
 
-    p_bbench = sub.add_parser(
-        "build-bench",
-        help="time serial vs parallel index construction and record BENCH_build.json",
-    )
-    p_bbench.add_argument("graph", help="edge-list file, or a registry dataset name")
-    p_bbench.add_argument("-d", "--bandwidth", type=int, default=20)
-    p_bbench.add_argument(
-        "--workers",
-        default="1,2,4",
-        help="comma-separated worker counts; the first is the baseline (default 1,2,4)",
-    )
-    p_bbench.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_build.json",
-        help="speedup history file to append to ('-' skips recording)",
-    )
-    p_bbench.set_defaults(handler=_cmd_build_bench)
-
     p_sbench = sub.add_parser(
         "storage-bench",
         help="compare dict vs flat label storage and JSON vs binary snapshots, "
@@ -397,12 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="queries timed after each batch (default 200)",
     )
     p_dbench.add_argument("--seed", type=int, default=0)
-    p_dbench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the rebuild phase (0 = one per CPU)",
-    )
     p_dbench.add_argument(
         "--output",
         default="BENCH_dynamic.json",
@@ -822,9 +791,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
                 index = DeltaOverlayIndex(index)
                 reindexer = BackgroundReindexer(
-                    index,
-                    workers=args.reindex_workers,
-                    auto_threshold=args.reindex_threshold,
+                    index, auto_threshold=args.reindex_threshold
                 ).start()
             engine = QueryEngine(
                 index, kernel=args.kernel, cache_capacity=args.cache
@@ -985,49 +952,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.bench.build_bench import build_bench_rows, record_entry
-    from repro.bench.datasets import dataset_names, load_dataset
-    from repro.bench.reporting import format_table
-    from repro.graphs.io import read_edge_list
-
-    try:
-        worker_counts = tuple(int(w) for w in args.workers.split(",") if w.strip())
-    except ValueError:
-        print(f"error: --workers {args.workers!r} is not a comma-separated int list",
-              file=sys.stderr)
-        return 2
-    if not worker_counts:
-        print("error: --workers needs at least one count", file=sys.stderr)
-        return 2
-    if args.graph in dataset_names() and not os.path.exists(args.graph):
-        name = args.graph
-        graph = load_dataset(name)
-    else:
-        name = args.graph
-        graph, _ = read_edge_list(args.graph)
-    result = build_bench_rows(
-        graph, args.bandwidth, worker_counts=worker_counts, name=name
-    )
-    print(
-        format_table(
-            result.rows,
-            ["workers", "build_s", "speedup", "entries", "identical"],
-            title=(
-                f"build-bench: CT-{args.bandwidth} on {name} "
-                f"(n={graph.n} m={graph.m})"
-            ),
-        )
-    )
-    print(f"best parallel speedup over baseline: {result.best_speedup:.2f}x")
-    if args.output != "-":
-        record_entry(result, args.output)
-        print(f"recorded entry -> {args.output}")
-    return 0
-
-
 def _cmd_storage_bench(args: argparse.Namespace) -> int:
     import os
 
@@ -1124,7 +1048,6 @@ def _cmd_dynamic_bench(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         queries_per_batch=args.queries,
         seed=args.seed,
-        workers=args.workers,
     )
     print(
         format_table(

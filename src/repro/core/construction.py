@@ -80,31 +80,19 @@ class TreeIndex:
 
 
 def compute_tree_labels(
-    decomposition: CoreTreeDecomposition,
-    positions,
-    labels,
-    *,
-    budget: MemoryBudget | None = None,
-) -> None:
-    """Fill ``labels[pos]`` for every ``pos`` in ``positions``.
+    decomposition: CoreTreeDecomposition, budget: MemoryBudget
+) -> list[dict[int, Weight]]:
+    """The λ-local label of every forest position, in position order.
 
-    ``positions`` must be in descending order and closed under tree
-    ancestry (a position's ancestors appear before it), because the
-    recursion of Lemma 15 reads ancestor labels; whole trees in reverse
-    elimination order satisfy this, which is what makes the per-tree
-    fan-out of :mod:`repro.parallel.forest` legal — a tree's labels
-    never reference another tree.  ``labels`` may be the full
-    boundary-sized list (serial build) or a per-task dict holding just
-    the processed trees' positions.
-
-    Serial and parallel builds both run *this* routine, so a forest
-    label is computed by the same statements in the same order whichever
-    schedule produced it — the byte-identical guarantee for the tree
-    half of the index.
+    Positions are processed in descending order, so the recursion of
+    Lemma 15 only ever reads labels of tree ancestors that are already
+    final.  Each label is charged to ``budget`` as soon as it is built,
+    so an over-budget build raises mid-sweep.
     """
     elimination = decomposition.elimination
     position = decomposition.position
     node_at = decomposition.node_at
+    labels: list[dict[int, Weight]] = [{} for _ in range(decomposition.boundary)]
 
     def lookup(pos_j: int, target: int) -> Weight:
         """δ^T(v_j, target), reading whichever endpoint stores the pair.
@@ -127,7 +115,7 @@ def compute_tree_labels(
             )
         return labels[pos_target][node_j]
 
-    for pos in positions:
+    for pos in range(decomposition.boundary - 1, -1, -1):
         step = elimination.steps[pos]
         root = decomposition.root[pos]
         interface = decomposition.interface[root]
@@ -164,59 +152,23 @@ def compute_tree_labels(
                     if through < best:
                         best = through
                 label[u] = best
-        if budget is not None:
-            budget.charge(len(label))
+        budget.charge(len(label))
         labels[pos] = label
+    return labels
 
 
 def build_tree_index(
     decomposition: CoreTreeDecomposition,
     *,
     budget: MemoryBudget | None = None,
-    workers: int | None = None,
-    pool=None,
 ) -> TreeIndex:
-    """Compute the λ-local distance labels (Algorithm 1, lines 19-32).
-
-    With ``workers > 1`` the per-tree labels are computed one task per
-    tree group across worker processes (Theorem 4's labels are
-    independent between trees); the result is identical to the serial
-    sweep.  A live :class:`~repro.parallel.shm.ShmBuildPool` passed as
-    ``pool`` (internal; :func:`construct` owns its lifecycle) routes the
-    fan-out through shared-memory decomposition arrays instead of the
-    pickled-snapshot pool of :mod:`repro.parallel.forest`.  Budget
-    accounting then happens on the merged labels in the serial charge
-    order, so an over-budget build still raises
-    :class:`~repro.exceptions.OverMemoryError` (after the parallel work
-    rather than mid-sweep).
-    """
-    from repro.parallel.pool import resolve_workers
-
+    """Compute the λ-local distance labels (Algorithm 1, lines 19-32)."""
     if budget is None:
         budget = MemoryBudget.unlimited()
-    boundary = decomposition.boundary
-    worker_count = resolve_workers(workers)
     with obs_span(
-        "ct.forest_labeling", boundary=boundary, workers=worker_count
+        "ct.forest_labeling", boundary=decomposition.boundary
     ) as forest_span:
-        if pool is not None and boundary:
-            from repro.parallel.shm import parallel_tree_labels_shm
-
-            labels = parallel_tree_labels_shm(decomposition, pool=pool)
-            for pos in range(boundary - 1, -1, -1):
-                budget.charge(len(labels[pos]))
-        elif worker_count > 1 and boundary:
-            from repro.parallel.forest import parallel_tree_labels
-
-            labels = parallel_tree_labels(decomposition, workers=worker_count)
-            for pos in range(boundary - 1, -1, -1):
-                budget.charge(len(labels[pos]))
-        else:
-            labels = [{} for _ in range(boundary)]
-            compute_tree_labels(
-                decomposition, range(boundary - 1, -1, -1), labels, budget=budget
-            )
-        index = TreeIndex(decomposition, labels)
+        index = TreeIndex(decomposition, compute_tree_labels(decomposition, budget))
         if obs.tracing_enabled():
             forest_span.set(entries=index.size_entries())
     if obs.enabled():
@@ -244,9 +196,7 @@ def build_core_index(
     core_backend: str = "pll",
     workers: int | None = None,
     kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
     hopdb_order: str = "degree",
-    pool=None,
 ) -> tuple[PrunedLandmarkLabeling, list[int], dict[int, int]]:
     """2-hop labeling on the weighted reduced core graph ``G_{λ+1}`` (line 33).
 
@@ -256,9 +206,7 @@ def build_core_index(
     bound and the one its Figure 5 example uses.  ``"is"`` is accepted
     for symmetry with :func:`construct`, where it selects independent-set
     periphery elimination; the core hubs then use degree order (IS-LABEL
-    has no distinguished hub order of its own).  ``core_order=`` is the
-    deprecated pre-PR-4 spelling and maps onto ``order=`` with a
-    :class:`DeprecationWarning`.
+    has no distinguished hub order of its own).
 
     ``core_backend`` selects the construction schedule — the paper's
     line 33 says "PLL (or PSL equivalently)".  ``"psl"`` uses the
@@ -270,14 +218,12 @@ def build_core_index(
     builds the same canonical label sets, so the choice never changes a
     fingerprint.
 
-    ``workers`` fans the PSL backend's rounds out over worker processes
-    (see :mod:`repro.parallel`) and ``kernel`` selects PSL's
-    construction path (vectorized vs pure Python); a live
-    :class:`~repro.parallel.shm.ShmBuildPool` passed as ``pool``
-    (internal) is reused for vectorized multi-worker rounds.  The PLL
-    and hopdb backends ignore all three: a pruned search depends on
-    every earlier root's finished label, so PLL is inherently
-    sequential, and hopdb runs its own composition loop.
+    ``workers`` fans the vectorized PSL backend's rounds out over
+    worker processes (see :mod:`repro.parallel`) and ``kernel`` selects
+    PSL's construction path (vectorized vs pure Python).  The PLL and
+    hopdb backends ignore both: a pruned search depends on every earlier
+    root's finished label, so PLL is inherently sequential, and hopdb
+    runs its own composition loop.
 
     ``hopdb_order`` tunes the hub order of the ``"hopdb"`` backend:
     ``"degree"`` (the default; fingerprint-identical to the other
@@ -292,9 +238,7 @@ def build_core_index(
     over the compacted core graph, the original node id per compact id,
     and the reverse map.
     """
-    from repro.deprecation import resolve_renamed_kwarg
-
-    order = resolve_renamed_kwarg("core_order", "order", core_order, order) or "degree"
+    order = order or "degree"
     if hopdb_order not in ("degree", "psl-rank"):
         raise IndexConstructionError(
             f"unknown hopdb_order {hopdb_order!r}; expected 'degree' or 'psl-rank'"
@@ -334,7 +278,6 @@ def build_core_index(
                 budget=budget,
                 workers=workers,
                 kernel=kernel,
-                pool=pool,
             )
             labeling = PrunedLandmarkLabeling(core_graph, psl.labels, psl.order)
             labeling.build_seconds = psl.build_seconds
@@ -368,7 +311,6 @@ def construct(
     core_backend: str = "pll",
     workers: int | None = None,
     kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
     hopdb_order: str = "degree",
 ) -> tuple[CoreTreeDecomposition, TreeIndex, PrunedLandmarkLabeling, list[int], dict[int, int], float]:
     """Run the full Algorithm 1 and return all the pieces plus build time.
@@ -381,22 +323,12 @@ def construct(
     value keeps MDE and selects the core hub order as in
     :func:`build_core_index`.
 
-    ``workers`` parallelizes the tree-index fan-out (and the core
-    labeling when ``core_backend="psl"`` applies) and ``kernel`` selects
-    PSL's in-process construction path, without changing any label — the
-    decomposition itself stays sequential, as each elimination step
-    depends on the fill-in of the previous one.  When ``workers > 1``
-    and NumPy is importable, one shared-memory worker pool
-    (:class:`repro.parallel.shm.ShmBuildPool`) is created here and
-    reused by both the forest fan-out and the vectorized PSL rounds, so
-    process spawn cost is paid once per build rather than once per
-    phase.  ``hopdb_order`` tunes the hopdb backend's hub order (see
-    :func:`build_core_index`).  ``core_order=`` is the deprecated
-    spelling of ``order=``.
+    ``workers`` and ``kernel`` reach only the PSL core rounds (see
+    :func:`build_core_index`), without changing any label; every other
+    phase is serial.  ``hopdb_order`` tunes the hopdb backend's hub
+    order.
     """
-    from repro.deprecation import resolve_renamed_kwarg
-
-    order = resolve_renamed_kwarg("core_order", "order", core_order, order) or "degree"
+    order = order or "degree"
     started = time.perf_counter()
     if budget is None:
         budget = MemoryBudget.unlimited()
@@ -410,32 +342,16 @@ def construct(
             )
         else:
             decomposition = core_tree_decomposition(graph, bandwidth)
-    from repro.kernels import numpy_available
-    from repro.parallel.pool import resolve_workers
-
-    worker_count = resolve_workers(workers)
-    pool = None
-    if worker_count > 1 and numpy_available():
-        from repro.parallel.shm import ShmBuildPool
-
-        pool = ShmBuildPool(worker_count)
-    try:
-        tree_index = build_tree_index(
-            decomposition, budget=budget, workers=workers, pool=pool
-        )
-        core_index, originals, compact = build_core_index(
-            decomposition,
-            budget=budget,
-            order=order,
-            core_backend=core_backend,
-            workers=workers,
-            kernel=kernel,
-            hopdb_order=hopdb_order,
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    tree_index = build_tree_index(decomposition, budget=budget)
+    core_index, originals, compact = build_core_index(
+        decomposition,
+        budget=budget,
+        order=order,
+        core_backend=core_backend,
+        workers=workers,
+        kernel=kernel,
+        hopdb_order=hopdb_order,
+    )
     elapsed = time.perf_counter() - started
     logger.debug(
         "CT constructed: d=%d lambda=%d core=%d h_F=%d tree_entries=%d "

@@ -129,7 +129,6 @@ class CTIndex(DistanceIndex):
         workers: int | None = None,
         backend: str = "dict",
         kernel: str = KERNEL_AUTO,
-        core_order: str | None = None,
         hopdb_order: str = "degree",
     ) -> "CTIndex":
         """Construct a CT-Index (Algorithm 1).
@@ -175,14 +174,13 @@ class CTIndex(DistanceIndex):
             Case-3/4 queries; ``0`` disables the cache (every query
             recomputes its extension sets).
         workers:
-            Number of worker processes for the parallel build path
-            (``None``/``1`` serial, ``0`` one per CPU).  Any worker
-            count builds the same index byte for byte — see
-            :mod:`repro.parallel`.  With NumPy installed the workers
-            share one shared-memory pool (:mod:`repro.parallel.shm`)
-            that drives both the forest fan-out and the vectorized PSL
-            rounds; without NumPy the pickled-snapshot forest pool is
-            used and PSL rounds fan out per round.
+            Worker processes for the vectorized PSL core rounds
+            (``None``/``1`` serial, ``0`` one per CPU) — the only
+            parallel phase, so it takes effect only with
+            ``core_backend="psl"`` on an unweighted core (bandwidth 0)
+            and NumPy installed; every other build ignores it.  Any
+            worker count builds the same index byte for byte — see
+            :mod:`repro.parallel`.
         hopdb_order:
             Hub order of the ``"hopdb"`` core backend: ``"degree"``
             (default) or ``"psl-rank"`` (degree refined by neighbor
@@ -202,13 +200,9 @@ class CTIndex(DistanceIndex):
             :class:`~repro.exceptions.ConfigurationError` when NumPy is
             missing or ``backend`` is not ``"flat"``), or ``"python"``
             (always the interpreter paths).  Never changes an answer.
-        core_order:
-            Deprecated spelling of ``order=`` (kept one release; warns
-            with :class:`DeprecationWarning`).
         """
-        from repro.deprecation import resolve_config_kwargs, resolve_renamed_kwarg
+        from repro.deprecation import resolve_config_kwargs
 
-        order = resolve_renamed_kwarg("core_order", "order", core_order, order)
         if bandwidth is None and config is None:
             raise ConfigurationError(
                 "bandwidth is required (pass it directly or via config=)"
@@ -751,7 +745,6 @@ def build_ct_index(
     workers: int | None = None,
     backend: str = "dict",
     kernel: str = KERNEL_AUTO,
-    core_order: str | None = None,
 ) -> CTIndex:
     """Functional alias of :meth:`CTIndex.build` (same keywords)."""
     return CTIndex.build(
@@ -766,5 +759,4 @@ def build_ct_index(
         workers=workers,
         backend=backend,
         kernel=kernel,
-        core_order=core_order,
     )

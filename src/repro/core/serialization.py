@@ -87,7 +87,7 @@ def index_fingerprint(index: CTIndex) -> bytes:
     Two builds of the same graph with the same parameters produce equal
     fingerprints regardless of the construction schedule (serial or any
     ``workers=N``) — the determinism guarantee the differential suite
-    and ``build-bench`` verify.  Keys are sorted so the fingerprint does
+    verifies.  Keys are sorted so the fingerprint does
     not depend on document-assembly order.
     """
     return json.dumps(

@@ -1,54 +1,14 @@
-"""Shims that keep old spellings working across API redesigns.
+"""Reconciling the two spellings of the build knobs.
 
-PR 4 unified the construction kwargs across ``build_pll`` /
-``build_psl`` / ``build_core_index`` / ``CTIndex.build`` (``order=``,
-``workers=``, ``backend=`` spelled and defaulted identically).  The old
-spellings keep working for one release through
-:func:`resolve_renamed_kwarg`, which warns with
-:class:`DeprecationWarning` and maps the value through.
-
-PR 9 added :class:`~repro.api.BuildConfig` as the preferred spelling of
-the build knobs; :func:`resolve_config_kwargs` merges a config with the
+:class:`~repro.api.BuildConfig` is the preferred spelling of the build
+knobs; :func:`resolve_config_kwargs` merges a config with the
 still-supported loose kwargs, rejecting conflicting spellings with
 :class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.exceptions import ConfigurationError
-
-
-def resolve_renamed_kwarg(
-    old_name: str,
-    new_name: str,
-    old_value,
-    new_value,
-    *,
-    stacklevel: int = 3,
-):
-    """Resolve a renamed keyword argument pair to one value.
-
-    ``old_value``/``new_value`` are the values as passed (``None`` =
-    not passed).  Passing the old spelling warns; passing both raises
-    :class:`~repro.exceptions.ConfigurationError` unless they agree.
-    Returns the effective value (``None`` when neither was passed, so
-    the caller applies its default).
-    """
-    if old_value is None:
-        return new_value
-    warnings.warn(
-        f"{old_name}= is deprecated; use {new_name}=",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    if new_value is not None and new_value != old_value:
-        raise ConfigurationError(
-            f"conflicting values for {new_name}={new_value!r} and its "
-            f"deprecated alias {old_name}={old_value!r}"
-        )
-    return old_value
 
 
 def resolve_config_kwargs(config, explicit: dict, *, config_cls=None):
@@ -87,4 +47,4 @@ def resolve_config_kwargs(config, explicit: dict, *, config_cls=None):
     return config
 
 
-__all__ = ["resolve_config_kwargs", "resolve_renamed_kwarg"]
+__all__ = ["resolve_config_kwargs"]

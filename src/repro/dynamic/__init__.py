@@ -5,8 +5,8 @@ Experimental tier.  :class:`DeltaOverlayIndex` wraps any built
 insertions/deletions into a patch consulted at query time — answers
 stay exact on the current graph (see :mod:`repro.dynamic.overlay` for
 the correctness model).  :class:`BackgroundReindexer` drains the patch
-by rebuilding through :mod:`repro.parallel` workers and hot-swapping
-the verified fresh index under the live overlay.
+by rebuilding and hot-swapping the verified fresh index under the
+live overlay.
 
 The module is deliberately *not* re-exported from the stable
 :mod:`repro` root: the API may still move while the tier matures.

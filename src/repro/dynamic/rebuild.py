@@ -3,7 +3,7 @@
 The overlay keeps answers exact while its patch grows, but every patched
 query pays for touched-vertex searches.  :class:`BackgroundReindexer`
 drains the patch: it snapshots the current graph, rebuilds a fresh
-CT-Index through :mod:`repro.parallel` workers, **verifies** the result
+CT-Index, **verifies** the result
 (canonical :func:`~repro.core.serialization.index_fingerprint`, plus a
 deterministic sample of answers checked against BFS/Dijkstra ground
 truth on the snapshot graph), and only then hot-swaps it under the live
@@ -87,9 +87,6 @@ class BackgroundReindexer:
     bandwidth:
         CT-Index bandwidth for rebuilds; defaults to the current base's
         ``bandwidth`` (required when the base does not carry one).
-    workers:
-        Forwarded to :meth:`CTIndex.build` (``None`` serial, ``0`` one
-        worker per CPU — see :mod:`repro.parallel`).
     backend:
         Label storage for rebuilt indexes; defaults to the current
         base's ``storage_backend``.
@@ -111,7 +108,6 @@ class BackgroundReindexer:
         overlay: DeltaOverlayIndex,
         *,
         bandwidth: int | None = None,
-        workers: int | None = None,
         backend: str | None = None,
         verify_samples: int = 48,
         expected_fingerprint: str | None = None,
@@ -135,7 +131,6 @@ class BackgroundReindexer:
             )
         self.overlay = overlay
         self.bandwidth = bandwidth
-        self.workers = workers
         self.backend = backend or getattr(overlay.base, "storage_backend", "dict")
         self.verify_samples = verify_samples
         self.expected_fingerprint = expected_fingerprint
@@ -168,7 +163,6 @@ class BackgroundReindexer:
         new_index = CTIndex.build(
             snap.graph,
             self.bandwidth,
-            workers=self.workers,
             backend=self.backend,
         )
         build_seconds = time.perf_counter() - started

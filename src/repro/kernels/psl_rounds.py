@@ -225,41 +225,6 @@ def record_round_stats(
     )
 
 
-def run_numpy_rounds(
-    graph: Graph,
-    rank: list[int],
-    order: list[int],
-    *,
-    budget: MemoryBudget,
-    budget_exempt: frozenset[int],
-    stats_out: dict | None = None,
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """Run every PSL round vectorized; returns the finished labels.
-
-    Returns ``(hub_ranks, hub_dists, rounds)`` where ``hub_ranks[v]`` /
-    ``hub_dists[v]`` are ``v``'s committed label entries in ascending
-    rank order (plain Python ints, ready for
-    :meth:`~repro.labeling.hub_labels.HubLabeling.append_entry`) and
-    ``rounds`` is the number of levels evaluated, matching the serial
-    loop's count (the final, empty level included).
-
-    The initial self-labels must already be charged to ``budget`` by the
-    caller (both construction paths share that init).  ``stats_out``
-    (optional dict) collects the per-round kernel/merge time split — see
-    :func:`record_round_stats`.
-    """
-    lab_keys, lab_dists, lab_indptr, level = run_numpy_rounds_csr(
-        graph,
-        rank,
-        order,
-        budget=budget,
-        budget_exempt=budget_exempt,
-        stats_out=stats_out,
-    )
-    hub_ranks, hub_dists = labels_to_lists(graph.n, lab_keys, lab_dists, lab_indptr)
-    return hub_ranks, hub_dists, level
-
-
 def run_numpy_rounds_csr(
     graph: Graph,
     rank: list[int],
@@ -269,13 +234,20 @@ def run_numpy_rounds_csr(
     budget_exempt: frozenset[int],
     stats_out: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Like :func:`run_numpy_rounds` but returns the raw CSR state.
+    """Run every PSL round vectorized, in-process; returns the CSR state.
 
     ``(lab_keys, lab_dists, lab_indptr, rounds)`` — composite keys
     sorted owner-major, so ``lab_keys % n`` is each node's ascending
-    hub-rank run.  The flat backend adopts these arrays directly
+    hub-rank run, and ``rounds`` is the number of levels evaluated,
+    matching the python loop's count (the final, empty level included).
+    The flat backend adopts these arrays directly
     (:meth:`~repro.storage.flat_labels.FlatLabelStore.adopt_numpy_csr`)
-    without a per-entry Python loop.
+    without a per-entry Python loop; :func:`labels_to_lists` unpacks
+    them for the dict backend.
+
+    The initial self-labels must already be charged to ``budget`` by the
+    caller.  ``stats_out`` (optional dict) collects the per-round
+    kernel/merge time split — see :func:`record_round_stats`.
     """
     n = graph.n
     n64 = np.int64(n)

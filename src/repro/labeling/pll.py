@@ -67,7 +67,6 @@ def build_pll(
     *,
     budget: MemoryBudget | None = None,
     budget_exempt: frozenset[int] | None = None,
-    workers: int | None = None,
     backend: str = "dict",
 ) -> PrunedLandmarkLabeling:
     """Build a PLL index on ``graph``.
@@ -85,22 +84,12 @@ def build_pll(
         Nodes whose label entries do not count against the budget —
         used by PSL*, whose local-minimum label sets exist only during
         construction and never reach the final index.
-    workers:
-        Accepted for signature parity with :func:`~repro.labeling.psl.
-        build_psl` and :meth:`~repro.core.ct_index.CTIndex.build`; PLL's
-        pruned searches are inherently sequential (each root's search
-        prunes against every earlier root's finished label), so any
-        value is validated and then runs the serial schedule.
     backend:
         Label storage of the returned index: ``"dict"`` (mutable
         per-node lists) or ``"flat"`` (CSR arrays, packed after the
         pruned searches finish).  Both answer identically.
     """
     validate_backend(backend)
-    if workers is not None:
-        from repro.parallel.pool import resolve_workers
-
-        resolve_workers(workers)  # validate; PLL always runs serially
     started = time.perf_counter()
     with obs_span("labeling.pll", n=graph.n, m=graph.m) as pll_span:
         if order is None:

@@ -4,8 +4,7 @@ This package is the substrate every performance-facing layer reports
 through:
 
 * :mod:`repro.obs.metrics` — :class:`Counter` / :class:`Gauge` /
-  :class:`LatencyHistogram` primitives (the log₂ histogram promoted out
-  of ``repro.serving.metrics``);
+  :class:`LatencyHistogram` primitives;
 * :mod:`repro.obs.registry` — the process-wide
   :class:`MetricsRegistry` (get-or-create, labeled, Prometheus-text
   export);

@@ -1,7 +1,6 @@
 """Metric primitives: counters, gauges, and log₂-bucket histograms.
 
-:class:`LatencyHistogram` is the fixed-bucket log₂ histogram that grew
-up in ``repro.serving.metrics`` (which still re-exports it): recording
+:class:`LatencyHistogram` is the fixed-bucket log₂ histogram: recording
 is O(log #buckets) with no allocation, so it is cheap enough to sit on
 the hot query path, and the bucket layout is identical across
 histograms so snapshots can be compared side by side (cached vs

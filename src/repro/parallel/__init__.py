@@ -1,50 +1,40 @@
 """Multiprocess index construction.
 
-The parallel build path fans the two heavy halves of CT-Index
-construction out over worker processes while keeping the output
-byte-identical to a serial build:
+One construction phase runs in parallel: the level-synchronous rounds
+of the vectorized PSL core labeler (:func:`repro.labeling.psl.build_psl`
+with ``kernel="numpy"``).  Each round reads only labels committed in
+strictly earlier rounds, so it partitions by destination-vertex range
+and the output stays byte-identical to a serial build.
 
-* :mod:`repro.parallel.psl` — level-synchronous PSL rounds, one vertex
-  chunk per worker against a read-only snapshot of the previous level;
-* :mod:`repro.parallel.forest` — per-tree forest labels, whole trees
-  binned into balanced tasks (skew-aware, work-stealing friendly);
-* :mod:`repro.parallel.shm` — the shared-memory engine (experimental
-  tier): one persistent worker pool per build, CSR label state and
-  frontiers in ``multiprocessing.shared_memory``, compact per-range
-  deltas instead of pickled snapshots.  Used automatically when
-  ``workers > 1`` and NumPy is importable; requires NumPy, so its
-  names are re-exported lazily here;
-* :mod:`repro.parallel.chunking` / :mod:`repro.parallel.pool` — the
-  deterministic partitioning and pool plumbing both share.
+* :mod:`repro.parallel.shm` — the shared-memory engine: one persistent
+  worker pool per PSL build, CSR label state and frontiers in
+  ``multiprocessing.shared_memory``, compact per-range deltas instead of
+  pickled snapshots.  Requires NumPy, so its names are re-exported
+  lazily here;
+* :mod:`repro.parallel.pool` — worker-count resolution and the
+  multiprocessing start method.
 
-Entry points: ``build_ct_index(graph, d, workers=N)``,
-``build_psl(graph, workers=N)``, and ``repro build --workers N`` on the
-command line.  ``workers=0`` means one worker per CPU.
+Entry points: ``build_psl(graph, workers=N)``, and
+``CTIndex.build(graph, 0, core_backend="psl", workers=N)`` (the PSL
+rounds only run on an unweighted core, i.e. bandwidth 0).  ``workers=0``
+means one worker per CPU.  Everything else in the build — reduction,
+decomposition, forest labels, PLL — is serial.
 """
 
-from repro.parallel.chunking import balanced_tasks, vertex_chunks
-from repro.parallel.forest import forest_tasks, parallel_tree_labels
 from repro.parallel.pool import START_METHOD_ENV, pool_context, resolve_workers
-from repro.parallel.psl import run_parallel_rounds
 
 _SHM_NAMES = (
     "SHM_PREFIX",
     "ShmArena",
     "ShmBuildPool",
     "WorkerAttachments",
-    "parallel_tree_labels_shm",
     "run_shm_rounds",
 )
 
 __all__ = [
     "START_METHOD_ENV",
-    "balanced_tasks",
-    "forest_tasks",
-    "parallel_tree_labels",
     "pool_context",
     "resolve_workers",
-    "run_parallel_rounds",
-    "vertex_chunks",
     *_SHM_NAMES,
 ]
 

@@ -1,13 +1,8 @@
-"""Process-pool plumbing shared by the parallel builders.
+"""Worker-count resolution and start-method selection for the build pool.
 
-Both parallel builders follow the same recipe: the master keeps the
-authoritative build state, ships read-only snapshots to a
-:class:`~concurrent.futures.ProcessPoolExecutor`, and merges worker
-results deterministically.  On platforms with the ``fork`` start method
-(Linux), pool initializer arguments are inherited by the forked workers
-without pickling, so snapshotting even a large graph costs nothing; on
-``spawn`` platforms the same arguments are pickled once per worker —
-slower, but semantically identical.
+The shared-memory PSL engine (:mod:`repro.parallel.shm`) is the only
+multiprocess build path; these two helpers are the parts of its setup
+that do not need NumPy.
 """
 
 from __future__ import annotations
@@ -41,15 +36,14 @@ START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context the parallel builders run under.
+    """The multiprocessing context the build pool runs under.
 
-    Prefers ``fork`` so worker processes inherit the master's read-only
-    build state instead of re-pickling it; falls back to the platform
-    default elsewhere.  The :data:`START_METHOD_ENV` environment
-    variable forces a specific method (workers of the shared-memory
-    engine receive all state through queues and shared blocks, so every
-    method is semantically identical — the override exists so tests can
-    pin spawn behaviour on fork platforms).
+    Prefers ``fork``, which starts workers fastest; falls back to the
+    platform default elsewhere.  The :data:`START_METHOD_ENV`
+    environment variable forces a specific method (workers receive all
+    state through queues and shared blocks, so every method is
+    semantically identical — the override exists so tests can pin spawn
+    behaviour on fork platforms).
     """
     forced = os.environ.get(START_METHOD_ENV)
     if forced:

@@ -1,36 +1,20 @@
-"""Shared-memory construction engine (experimental tier).
+"""Shared-memory PSL rounds — the one multiprocess build path.
 
-The PR 2 parallel path predates the flat backend and the vectorized PSL
-kernel: it spins a fresh process pool per level, pickles a full label
-snapshot into every worker, and runs the per-vertex dict rounds.  This
-module replaces that plumbing for NumPy builds with one persistent,
-spawn-safe worker pool per build and ``multiprocessing.shared_memory``
-blocks for every large input, so ``workers=N`` finally composes with
-``kernel="numpy"`` and ``backend="flat"``:
-
-* **PSL rounds** — the committed CSR label arrays and each round's
-  frontier live in shared blocks; each worker runs the *existing*
-  chunked scratch kernel (:func:`repro.kernels.psl_rounds._run_round`)
-  over a contiguous destination-vertex range of the shared adjacency and
-  returns only its compact accepted-key delta.  Candidate generation,
-  dedup, and pruning for a vertex range are exactly the global
-  computation restricted to that range (each round reads only labels of
-  strictly earlier rounds), and sorted composite keys are owner-major,
-  so concatenating the per-range deltas in ascending range order
-  reproduces the serial round's sorted accepted set — the parent then
-  commits through the very same :func:`~repro.kernels.psl_rounds.
-  commit_level` the serial loop uses.  ``index_fingerprint()`` is
-  byte-identical to the serial path for every worker count by
-  construction.
-
-* **Forest fan-out** — the decomposition is packed once into flat
-  shared arrays (per-position parents/roots, step CSR with wedge
-  weights, per-root interfaces) instead of pickling the decomposition
-  object into each worker; workers rebuild a lightweight read-only view
-  satisfying exactly the attributes
-  :func:`repro.core.construction.compute_tree_labels` reads and run
-  that same routine, keeping the LPT task balancing of
-  :func:`repro.parallel.forest.forest_tasks`.
+A vectorized PSL build with ``workers > 1`` starts one persistent,
+spawn-safe worker pool and keeps every large input in
+``multiprocessing.shared_memory`` blocks: the committed CSR label
+arrays and each round's frontier.  Each worker runs the *existing*
+chunked scratch kernel (:func:`repro.kernels.psl_rounds._run_round`)
+over a contiguous destination-vertex range of the shared adjacency and
+returns only its compact accepted-key delta.  Candidate generation,
+dedup, and pruning for a vertex range are exactly the global
+computation restricted to that range (each round reads only labels of
+strictly earlier rounds), and sorted composite keys are owner-major, so
+concatenating the per-range deltas in ascending range order reproduces
+the serial round's sorted accepted set — the parent then commits
+through the very same :func:`~repro.kernels.psl_rounds.commit_level`
+the serial loop uses.  ``index_fingerprint()`` is byte-identical to the
+serial path for every worker count by construction.
 
 Shared blocks are named ``repro_shm_<pid>_<seq>`` and always unlinked by
 the creating parent (``try/finally``), so a build — successful, failed,
@@ -272,123 +256,8 @@ def _psl_round_task(atts: WorkerAttachments, state: dict, payload: dict) -> dict
     }
 
 
-class _ForestStep:
-    """The slice of an elimination step ``compute_tree_labels`` reads."""
-
-    __slots__ = ("node", "neighbors", "local_distance")
-
-    def __init__(self, node, neighbors, local_distance) -> None:
-        self.node = node
-        self.neighbors = neighbors
-        self.local_distance = local_distance
-
-
-class _LazySteps:
-    """Per-position step views over the packed CSR, built on first use."""
-
-    __slots__ = ("_view",)
-
-    def __init__(self, view: "_ForestView") -> None:
-        self._view = view
-
-    def __getitem__(self, pos: int) -> _ForestStep:
-        v = self._view
-        lo, hi = v.step_indptr[pos], v.step_indptr[pos + 1]
-        neighbors = tuple(v.step_nbr[lo:hi])
-        local = dict(zip(neighbors, v.step_w[lo:hi]))
-        return _ForestStep(v.pos_node[pos], neighbors, local)
-
-
-class _ForestView:
-    """Read-only decomposition stand-in rebuilt from shared arrays.
-
-    Exposes exactly the attribute surface
-    :func:`repro.core.construction.compute_tree_labels` consumes —
-    ``elimination.steps[pos]``, ``position``, ``node_at``, ``root``,
-    ``interface``, ``parent``, ``ancestors_of`` — so workers run the
-    *same routine* the serial sweep runs, on the same values, which is
-    what keeps the forest half byte-identical.
-    """
-
-    def __init__(
-        self,
-        pos_node: list[int],
-        parent: list[int | None],
-        root: list[int],
-        position: list[int | None],
-        step_indptr: list[int],
-        step_nbr: list[int],
-        step_w: list,
-        interface: dict[int, tuple[int, ...]],
-    ) -> None:
-        self.pos_node = pos_node
-        self.parent = parent
-        self.root = root
-        self.position = position
-        self.step_indptr = step_indptr
-        self.step_nbr = step_nbr
-        self.step_w = step_w
-        self.interface = interface
-        self.elimination = self
-        self.steps = _LazySteps(self)
-
-    def node_at(self, pos: int) -> int:
-        return self.pos_node[pos]
-
-    def ancestors_of(self, pos: int) -> list[int]:
-        chain: list[int] = []
-        p = self.parent[pos]
-        while p is not None:
-            chain.append(p)
-            p = self.parent[p]
-        return chain
-
-
-def _forest_view(atts: WorkerAttachments, state: dict, payload: dict) -> _ForestView:
-    """Rebuild (or reuse) the decomposition view for this build."""
-    if state.get("forest_build") == payload["build_id"]:
-        return state["forest_view"]
-    slots = payload["slots"]
-    views = {slot: atts.view(spec) for slot, spec in slots.items()}
-    pos_parent = views["pos_parent"].tolist()
-    parent = [p if p >= 0 else None for p in pos_parent]
-    position = [p if p >= 0 else None for p in views["position"].tolist()]
-    iface_roots = views["iface_roots"].tolist()
-    iface_indptr = views["iface_indptr"].tolist()
-    iface_nodes = views["iface_nodes"].tolist()
-    interface = {
-        r: tuple(iface_nodes[iface_indptr[i] : iface_indptr[i + 1]])
-        for i, r in enumerate(iface_roots)
-    }
-    view = _ForestView(
-        pos_node=views["pos_node"].tolist(),
-        parent=parent,
-        root=views["pos_root"].tolist(),
-        position=position,
-        step_indptr=views["step_indptr"].tolist(),
-        step_nbr=views["step_nbr"].tolist(),
-        step_w=views["step_w"].tolist(),
-        interface=interface,
-    )
-    state["forest_build"] = payload["build_id"]
-    state["forest_view"] = view
-    return view
-
-
-def _forest_task(atts: WorkerAttachments, state: dict, payload: dict) -> dict:
-    """Label one balanced group of whole trees."""
-    from repro.core.construction import compute_tree_labels
-
-    atts.prune({spec[0] for spec in payload["slots"].values()})
-    view = _forest_view(atts, state, payload)
-    positions = atts.view(payload["positions"]).tolist()
-    labels: dict[int, dict] = {}
-    compute_tree_labels(view, positions, labels)
-    return {"labels": labels}
-
-
 def _worker_main(worker_index: int, task_q, result_q) -> None:
-    """Persistent worker loop: serve PSL-round and forest tasks until told to stop."""
+    """Persistent worker loop: serve PSL-round tasks until told to stop."""
     import resource
 
     atts = WorkerAttachments()
@@ -401,8 +270,6 @@ def _worker_main(worker_index: int, task_q, result_q) -> None:
             try:
                 if kind == "psl_round":
                     result = _psl_round_task(atts, state, payload)
-                elif kind == "forest":
-                    result = _forest_task(atts, state, payload)
                 else:
                     raise IndexConstructionError(f"unknown shm task kind {kind!r}")
                 result_q.put(("ok", worker_index, payload["task_id"], result))
@@ -431,10 +298,10 @@ def _worker_main(worker_index: int, task_q, result_q) -> None:
 
 
 class ShmBuildPool:
-    """A persistent worker pool shared by one build's fan-outs.
+    """A persistent worker pool shared by one PSL build's rounds.
 
-    Created once per build (``construct`` owns the lifecycle), reused by
-    every PSL round and the forest fan-out — no per-round process spawn,
+    Created once per build (:func:`repro.labeling.psl.build_psl` owns
+    the lifecycle), reused by every round — no per-round process spawn,
     no snapshot pickling.  Each worker has its own task queue; results
     come back on one shared queue polled with a short timeout plus
     liveness checks, so a worker killed mid-round surfaces as an
@@ -701,128 +568,10 @@ def run_shm_rounds(
     return lab_keys, lab_dists, lab_indptr, level
 
 
-# ----------------------------------------------------------------------
-# Forest fan-out
-# ----------------------------------------------------------------------
-
-
-def _pack_forest(decomposition) -> dict[str, np.ndarray]:
-    """Flatten the decomposition into the arrays ``_ForestView`` rebuilds.
-
-    Integer wedge weights stay ``int64`` so workers recover exact Python
-    ints; any fractional weight switches the weight array to ``float64``
-    (where the serial labels are floats too).
-    """
-    boundary = decomposition.boundary
-    elimination = decomposition.elimination
-    pos_node = np.fromiter(
-        (elimination.steps[pos].node for pos in range(boundary)),
-        dtype=np.int64,
-        count=boundary,
-    )
-    pos_parent = np.fromiter(
-        (
-            p if p is not None else -1
-            for p in (decomposition.parent[pos] for pos in range(boundary))
-        ),
-        dtype=np.int64,
-        count=boundary,
-    )
-    pos_root = np.asarray(decomposition.root[:boundary], dtype=np.int64)
-    position = np.fromiter(
-        (p if p is not None else -1 for p in decomposition.position),
-        dtype=np.int64,
-        count=len(decomposition.position),
-    )
-
-    step_indptr = np.zeros(boundary + 1, dtype=np.int64)
-    neighbors: list[int] = []
-    weights: list = []
-    for pos in range(boundary):
-        step = elimination.steps[pos]
-        for u in step.neighbors:
-            neighbors.append(u)
-            weights.append(step.local_distance[u])
-        step_indptr[pos + 1] = len(neighbors)
-    all_int = all(isinstance(w, int) for w in weights)
-    step_w = np.asarray(weights, dtype=np.int64 if all_int else np.float64)
-
-    iface_roots = sorted(decomposition.interface)
-    iface_indptr = np.zeros(len(iface_roots) + 1, dtype=np.int64)
-    iface_nodes: list[int] = []
-    for i, r in enumerate(iface_roots):
-        iface_nodes.extend(decomposition.interface[r])
-        iface_indptr[i + 1] = len(iface_nodes)
-
-    return {
-        "pos_node": pos_node,
-        "pos_parent": pos_parent,
-        "pos_root": pos_root,
-        "position": position,
-        "step_indptr": step_indptr,
-        "step_nbr": np.asarray(neighbors, dtype=np.int64),
-        "step_w": step_w,
-        "iface_roots": np.asarray(iface_roots, dtype=np.int64),
-        "iface_indptr": iface_indptr,
-        "iface_nodes": np.asarray(iface_nodes, dtype=np.int64),
-    }
-
-
-def parallel_tree_labels_shm(decomposition, *, pool: ShmBuildPool) -> list[dict]:
-    """All forest labels via the shared pool — zero pickled inputs.
-
-    Same output as :func:`repro.parallel.forest.parallel_tree_labels`
-    (the boundary-sized label list in position order); the decomposition
-    travels as shared arrays instead of a pickled object, and the tasks
-    keep the LPT whole-tree balancing.
-    """
-    from repro.parallel.forest import forest_tasks
-
-    boundary = decomposition.boundary
-    labels: list[dict] = [{} for _ in range(boundary)]
-    tasks = forest_tasks(decomposition, pool.workers)
-    if not tasks:
-        return labels
-
-    build_id = f"{os.getpid()}_{_next_seq()}"
-    arena = ShmArena()
-    try:
-        slots = {name: arena.put(arr) for name, arr in _pack_forest(decomposition).items()}
-        # Tasks come heaviest-first from forest_tasks; assigning each to
-        # the least-loaded worker queue is LPT over the fixed queues.
-        loads = [0] * pool.workers
-        with obs_span(
-            "parallel.forest_fanout", tasks=len(tasks), workers=pool.workers, shm=True
-        ):
-            for task_id, positions in enumerate(tasks):
-                worker_index = min(range(pool.workers), key=lambda i: loads[i])
-                loads[worker_index] += len(positions)
-                pool.submit(
-                    worker_index,
-                    "forest",
-                    {
-                        "task_id": task_id,
-                        "build_id": build_id,
-                        "slots": slots,
-                        "positions": arena.put(
-                            np.asarray(positions, dtype=np.int64)
-                        ),
-                    },
-                )
-            results = pool.collect(len(tasks))
-        for task_id in range(len(tasks)):
-            for pos, label in results[task_id]["labels"].items():
-                labels[pos] = label
-    finally:
-        arena.close()
-    return labels
-
-
 __all__ = [
     "SHM_PREFIX",
     "ShmArena",
     "ShmBuildPool",
     "WorkerAttachments",
-    "parallel_tree_labels_shm",
     "run_shm_rounds",
 ]

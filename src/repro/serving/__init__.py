@@ -29,11 +29,11 @@ into an instrumented service, layer by layer:
 Every serving-tier error derives from :class:`ServingError`.
 """
 
+from repro.obs.metrics import LatencyHistogram
 from repro.serving.client import ServeClient, ServeResponseError
 from repro.serving.engine import QueryEngine
 from repro.serving.errors import AuditError, ServingError
 from repro.serving.fleet import FleetError, ServingFleet
-from repro.serving.metrics import LatencyHistogram
 from repro.serving.server import DistanceServer, ServerConfig, serve_forever
 
 __all__ = [

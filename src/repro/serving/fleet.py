@@ -25,10 +25,9 @@ Topology:
 * Routing is **affinity only**: every worker holds the full index and
   can answer any pair, but sources from the same tree of the forest
   are steered to the same worker so its extension-label LRU and pair
-  cache stay hot.  Trees are assigned to workers with the same LPT
-  balancing the parallel builder uses
-  (:func:`repro.parallel.chunking.balanced_tasks`, one task per
-  worker), weighted by tree size; core sources round-robin.
+  cache stay hot.  Trees are assigned to workers largest-first onto the
+  lightest worker (LPT, :func:`balanced_tasks`), weighted by tree size;
+  core sources round-robin.
 
 Workers shut down gracefully: :meth:`ServingFleet.shutdown` (also run
 by the context manager) sends each worker a shutdown message, waits
@@ -47,6 +46,7 @@ against single-process serving both pass.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import multiprocessing
 import os
@@ -497,6 +497,29 @@ class ServingFleet:
         return [self._collect(req_id) for req_id in req_ids]
 
 
+def balanced_tasks(sized_items, workers: int) -> list[list]:
+    """Group ``(item, size)`` pairs into at most ``workers`` balanced tasks.
+
+    Items are assigned largest-first to the lightest task so far (ties
+    broken by task index, so the grouping is deterministic).  Non-empty
+    tasks are returned heaviest-first.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"worker count must be positive, got {workers}")
+    task_count = min(len(sized_items), workers)
+    # (accumulated size, task index) min-heap; stable because the index
+    # breaks ties the same way every run.
+    heap = [(0, i) for i in range(task_count)]
+    tasks: list[list] = [[] for _ in range(task_count)]
+    for item, size in sorted(sized_items, key=lambda pair: (-pair[1], pair[0])):
+        load, index = heapq.heappop(heap)
+        tasks[index].append(item)
+        heapq.heappush(heap, (load + size, index))
+    loads = {index: load for load, index in heap}
+    heaviest_first = sorted(range(task_count), key=lambda i: -loads[i])
+    return [tasks[i] for i in heaviest_first if tasks[i]]
+
+
 class _TreeRouter:
     """Source node -> worker id, by tree affinity.
 
@@ -516,8 +539,6 @@ class _TreeRouter:
     )
 
     def __init__(self, index, workers: int) -> None:
-        from repro.parallel.chunking import balanced_tasks
-
         decomposition = index.tree_index.decomposition
         self._n = index.graph.n
         self._workers = workers
@@ -528,7 +549,7 @@ class _TreeRouter:
             (root, len(members))
             for root, members in sorted(decomposition.tree_members().items())
         ]
-        tasks = balanced_tasks(sized, workers, tasks_per_worker=1) if sized else []
+        tasks = balanced_tasks(sized, workers)
         self._root_to_worker = {
             root: task_index % workers
             for task_index, task in enumerate(tasks)

@@ -304,14 +304,16 @@ class TestParallelBuild:
     def test_build_with_workers_matches_serial(self, edge_file, tmp_path, capsys):
         serial_path = tmp_path / "serial.json"
         parallel_path = tmp_path / "parallel.json"
-        assert main(["build", str(edge_file), "-d", "3", "-o", str(serial_path)]) == 0
+        # Bandwidth 0 leaves an unweighted core, where --core-backend psl
+        # runs the PSL rounds that --workers fans out.
+        psl_core = ["-d", "0", "--core-backend", "psl"]
+        assert main(["build", str(edge_file), *psl_core, "-o", str(serial_path)]) == 0
         assert (
             main(
                 [
                     "build",
                     str(edge_file),
-                    "-d",
-                    "3",
+                    *psl_core,
                     "-o",
                     str(parallel_path),
                     "--workers",
@@ -329,32 +331,3 @@ class TestParallelBuild:
         serial.pop("build_seconds")
         parallel.pop("build_seconds")
         assert serial == parallel
-
-    def test_build_bench(self, edge_file, tmp_path, capsys):
-        bench_path = tmp_path / "BENCH_build.json"
-        assert (
-            main(
-                [
-                    "build-bench",
-                    str(edge_file),
-                    "-d",
-                    "3",
-                    "--workers",
-                    "1,2",
-                    "-o",
-                    str(bench_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert bench_path.exists()
-
-    def test_build_bench_skip_recording(self, edge_file, capsys):
-        assert main(["build-bench", str(edge_file), "-d", "3", "--workers", "1", "-o", "-"]) == 0
-        assert "recorded entry" not in capsys.readouterr().out
-
-    def test_build_bench_bad_workers(self, edge_file, capsys):
-        assert main(["build-bench", str(edge_file), "--workers", "1,x"]) == 2
-        assert "error" in capsys.readouterr().err

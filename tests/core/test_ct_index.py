@@ -48,7 +48,7 @@ class TestPaperQueries:
         # L_ext(v6) = {v10: 2, v11: 3, v12: 3}.  Figure 5's core labels
         # come from the elimination-based hub order (v12 > v11 > ...).
         index = CTIndex.build(
-            paper_graph, 2, use_equivalence_reduction=False, core_order="elimination"
+            paper_graph, 2, use_equivalence_reduction=False, order="elimination"
         )
         pos6 = index.decomposition.position[5]
         extended = index._extended_labels(pos6)
@@ -62,7 +62,7 @@ class TestPaperQueries:
     def test_figure_5_core_labels(self, paper_graph):
         # The core index of Figure 5, hub order v12 > v11 > v10 > v9.
         index = CTIndex.build(
-            paper_graph, 2, use_equivalence_reduction=False, core_order="elimination"
+            paper_graph, 2, use_equivalence_reduction=False, order="elimination"
         )
         compact = index._core_compact
         labels = index.core_index.labels

@@ -115,14 +115,14 @@ class TestSatelliteBugfixes:
                 index.distance(s, t)
 
     def test_build_ct_index_forwards_core_kwargs(self):
-        """Regression: the functional alias silently dropped core_order
-        and core_backend."""
+        """Regression: the functional alias silently dropped the core hub
+        order and core_backend."""
         g = gnp_graph(30, 0.15, seed=21)
         via_alias = build_ct_index(
-            g, 3, core_order="elimination", core_backend="pll", extension_cache_size=7
+            g, 3, order="elimination", core_backend="pll", extension_cache_size=7
         )
-        via_method = CTIndex.build(g, 3, core_order="elimination", core_backend="pll")
-        degree_build = CTIndex.build(g, 3, core_order="degree")
+        via_method = CTIndex.build(g, 3, order="elimination", core_backend="pll")
+        degree_build = CTIndex.build(g, 3, order="degree")
         assert via_alias.core_index.order == via_method.core_index.order
         if degree_build.core_index.order != via_method.core_index.order:
             # The kwarg demonstrably reached the builder.

@@ -1,7 +1,8 @@
 """Differential cross-check: every oracle answers every pair identically.
 
-For each seeded case graph the suite builds ``CTIndex`` (serial and
-``workers=2``), ``PLL``, ``PSL`` (unweighted graphs only), takes
+For each seeded case graph the suite builds ``CTIndex`` (serial, and on
+unweighted graphs a ``workers=2`` PSL-core build), ``PLL``, ``PSL``
+(unweighted graphs only), takes
 BFS/Dijkstra as ground truth, and compares **all** vertex pairs.  Any
 mismatch fails with the case's minimal reproducer — one line of Python
 that regenerates the graph — plus the first offending pair, so a sweep
@@ -62,17 +63,29 @@ def _cross_check(case: DifferentialCase) -> None:
         serial = CTIndex.build(graph, bandwidth)
         _check_oracle(case, f"CT-{bandwidth} (serial)", serial, truth)
 
-    # Parallel schedule at the largest bandwidth: answers must match AND
-    # the index must be byte-identical to the serial build.
-    bandwidth = case.bandwidths[-1]
-    serial = CTIndex.build(graph, bandwidth)
-    parallel = CTIndex.build(graph, bandwidth, workers=2)
-    if index_fingerprint(parallel) != index_fingerprint(serial):
-        pytest.fail(
-            f"CT-{bandwidth} workers=2 build is not byte-identical to serial "
-            f"on {case.name}.\nReproducer: {case.reproducer()}"
+    # Parallel schedule: the PSL core rounds are the one phase workers
+    # fan out, and they only run on an unweighted core (bandwidth 0).
+    # With NumPy the vectorized rounds run on the shared-memory pool.
+    # Answers must match AND the index must be byte-identical to the
+    # serial build.
+    if graph.unweighted:
+        psl_serial = CTIndex.build(graph, 0, core_backend="psl")
+        parallel = CTIndex.build(
+            graph,
+            0,
+            core_backend="psl",
+            workers=2,
+            backend="flat",
+            kernel="numpy" if numpy_available() else "python",
         )
-    _check_oracle(case, f"CT-{bandwidth} (workers=2)", parallel, truth)
+        if index_fingerprint(parallel) != index_fingerprint(psl_serial):
+            pytest.fail(
+                f"CT-0 PSL-core workers=2 build is not byte-identical to "
+                f"serial on {case.name}.\nReproducer: {case.reproducer()}"
+            )
+        _check_oracle(case, "CT-0 PSL core (workers=2)", parallel, truth)
+
+    bandwidth = case.bandwidths[-1]
 
     # Flat-storage build at the largest bandwidth: same answers, same
     # fingerprint — the CSR backend must be invisible to both the query

@@ -1,66 +1,11 @@
-"""Unit tests for the deterministic work-partitioning helpers."""
+"""Unit tests for the build pool's worker-count resolution."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import IndexConstructionError
-from repro.parallel.chunking import balanced_tasks, vertex_chunks
 from repro.parallel.pool import resolve_workers
-
-
-class TestVertexChunks:
-    def test_covers_every_vertex_once_in_order(self):
-        for n in (0, 1, 7, 100, 101):
-            for chunks in (1, 2, 3, 8):
-                ranges = vertex_chunks(n, chunks)
-                flat = [v for r in ranges for v in r]
-                assert flat == list(range(n)), (n, chunks)
-
-    def test_sizes_differ_by_at_most_one(self):
-        ranges = vertex_chunks(103, 4)
-        sizes = [len(r) for r in ranges]
-        assert max(sizes) - min(sizes) <= 1
-        assert len(ranges) == 4
-
-    def test_more_chunks_than_vertices(self):
-        ranges = vertex_chunks(3, 10)
-        assert [list(r) for r in ranges] == [[0], [1], [2]]
-
-    def test_zero_vertices(self):
-        assert vertex_chunks(0, 4) == []
-
-    def test_invalid_chunk_count(self):
-        with pytest.raises(ValueError):
-            vertex_chunks(10, 0)
-
-
-class TestBalancedTasks:
-    def test_every_item_assigned_exactly_once(self):
-        sized = [(i, (i * 7) % 13 + 1) for i in range(50)]
-        tasks = balanced_tasks(sized, workers=3)
-        flat = sorted(item for task in tasks for item in task)
-        assert flat == list(range(50))
-
-    def test_skewed_sizes_are_spread(self):
-        # One giant item plus many small ones: the giant must sit alone
-        # in the heaviest task, not drag small items with it.
-        sized = [("giant", 1000)] + [(f"s{i}", 1) for i in range(20)]
-        tasks = balanced_tasks(sized, workers=4)
-        heaviest = tasks[0]
-        assert heaviest == ["giant"]
-
-    def test_deterministic(self):
-        sized = [(i, (i * 31) % 17 + 1) for i in range(40)]
-        assert balanced_tasks(sized, 4) == balanced_tasks(sized, 4)
-
-    def test_task_count_bounded(self):
-        sized = [(i, 1) for i in range(1000)]
-        tasks = balanced_tasks(sized, workers=2, tasks_per_worker=4)
-        assert len(tasks) <= 8
-
-    def test_empty(self):
-        assert balanced_tasks([], 4) == []
 
 
 class TestResolveWorkers:

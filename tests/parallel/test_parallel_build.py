@@ -1,16 +1,16 @@
 """Parallel builds must be byte-identical to serial builds.
 
 The determinism contract (same graph, same parameters, any worker
-count ⇒ same index bytes) is what makes the multiprocess path safe to
-enable by default in production: a parallel build can always be audited
-against a serial one.
+count ⇒ same index bytes) is what makes ``workers=N`` safe to use in
+production: a parallel build can always be audited against a serial
+one.  Only the vectorized PSL rounds fan out; every other phase
+ignores ``workers``, which these tests pin too.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.construction import build_tree_index
 from repro.core.ct_index import CTIndex, build_ct_index
 from repro.core.serialization import index_fingerprint
 from repro.graphs.generators.core_periphery import (
@@ -21,8 +21,6 @@ from repro.graphs.generators.power_law import barabasi_albert_graph
 from repro.graphs.generators.random_graphs import gnp_graph
 from repro.graphs.traversal import all_pairs_distances
 from repro.labeling.psl import build_psl
-from repro.parallel.forest import forest_tasks
-from repro.treedec.core_tree import core_tree_decomposition
 
 
 @pytest.fixture(scope="module")
@@ -52,33 +50,6 @@ class TestParallelPSL:
         three = build_psl(cp_graph, workers=3)
         for v in cp_graph.nodes():
             assert two.labels.label_entries(v) == three.labels.label_entries(v)
-
-
-class TestParallelForest:
-    def test_tree_labels_match_serial(self, cp_graph):
-        decomposition = core_tree_decomposition(cp_graph, 4)
-        serial = build_tree_index(decomposition)
-        parallel = build_tree_index(decomposition, workers=2)
-        assert len(serial.labels) == len(parallel.labels)
-        for pos in range(len(serial.labels)):
-            # Same entries *and* same insertion order — serialization
-            # preserves dict order, so order is part of byte-identity.
-            assert list(serial.labels[pos].items()) == list(
-                parallel.labels[pos].items()
-            ), pos
-
-    def test_tasks_cover_forest(self, cp_graph):
-        decomposition = core_tree_decomposition(cp_graph, 4)
-        tasks = forest_tasks(decomposition, workers=3)
-        flat = sorted(pos for task in tasks for pos in task)
-        assert flat == list(range(decomposition.boundary))
-        # Within a task every tree's positions must be descending.
-        for task in tasks:
-            by_root: dict[int, list[int]] = {}
-            for pos in task:
-                by_root.setdefault(decomposition.root[pos], []).append(pos)
-            for positions in by_root.values():
-                assert positions == sorted(positions, reverse=True)
 
 
 class TestParallelCTIndex:

@@ -1,11 +1,13 @@
-"""Shared-memory construction engine: identity, fallback, and cleanup.
+"""Shared-memory PSL rounds: identity, scope, fallback, and cleanup.
 
-Three contracts pin :mod:`repro.parallel.shm`:
+Four contracts pin :mod:`repro.parallel.shm`:
 
 * **identity** — any worker count, under either start method, commits
   exactly the serial labels (fingerprint-identical indexes);
-* **fallback** — without NumPy the build silently takes the PR 2
-  pickled-snapshot path and still matches the serial bytes;
+* **scope** — only the vectorized PSL rounds start a pool; a
+  ``workers=2`` build with the default PLL core starts no process;
+* **fallback** — without NumPy the build runs the serial python rounds
+  and still matches the serial bytes;
 * **cleanup** — no ``/dev/shm`` block survives a build, whether it
   finishes, fails on a budget, or loses a worker mid-round.
 """
@@ -31,9 +33,10 @@ from repro.graphs.generators.core_periphery import (
 )
 from repro.graphs.generators.power_law import barabasi_albert_graph
 from repro.labeling.base import MemoryBudget
+from repro.labeling.ordering import degree_order
 from repro.labeling.psl import build_psl
 from repro.parallel.pool import START_METHOD_ENV
-from repro.parallel.shm import SHM_PREFIX, ShmBuildPool
+from repro.parallel.shm import SHM_PREFIX, ShmBuildPool, run_shm_rounds
 
 
 def _shm_blocks() -> list[str]:
@@ -95,9 +98,10 @@ class TestCTIndexIdentity:
     def test_fingerprint_identical_across_worker_counts(self, cp_graph):
         reference = None
         for workers in (1, 2, 4):
+            # Bandwidth 0 keeps the core unweighted, so the PSL rounds run.
             index = CTIndex.build(
                 cp_graph,
-                bandwidth=4,
+                bandwidth=0,
                 workers=workers,
                 backend="flat",
                 core_backend="psl",
@@ -107,20 +111,42 @@ class TestCTIndexIdentity:
                 reference = fingerprint
             assert fingerprint == reference
 
-    def test_shared_pool_covers_forest_fanout(self, cp_graph):
-        # workers=2 routes the tree labels through the shm pool; the
-        # dict-backend serial build is the audit baseline.
+
+class TestPoolScope:
+    def test_pll_core_build_starts_no_worker(self, cp_graph, monkeypatch):
+        started = []
+        original_start = multiprocessing.process.BaseProcess.start
+
+        def recording_start(process):
+            started.append(process.name)
+            return original_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
         serial = CTIndex.build(cp_graph, bandwidth=4)
         parallel = CTIndex.build(cp_graph, bandwidth=4, workers=2)
+        assert started == []
+        assert _shm_blocks() == []
         assert index_fingerprint(parallel) == index_fingerprint(serial)
+        # Control: the same hook does see the PSL rounds' pool.
+        CTIndex.build(
+            cp_graph,
+            bandwidth=0,
+            core_backend="psl",
+            workers=2,
+            backend="flat",
+            kernel="numpy",
+        )
+        assert len(started) == 2
 
 
 class TestNumpyAbsentFallback:
-    def test_falls_back_to_snapshot_pool(self, cp_graph, monkeypatch):
-        expected = index_fingerprint(CTIndex.build(cp_graph, bandwidth=4))
+    def test_falls_back_to_serial_rounds(self, cp_graph, monkeypatch):
+        expected = index_fingerprint(
+            CTIndex.build(cp_graph, bandwidth=0, core_backend="psl")
+        )
         monkeypatch.setattr(repro.kernels, "_NUMPY_STATE", False)
         assert not repro.kernels.numpy_available()
-        degraded = CTIndex.build(cp_graph, bandwidth=4, workers=2)
+        degraded = CTIndex.build(cp_graph, bandwidth=0, core_backend="psl", workers=2)
         assert index_fingerprint(degraded) == expected
 
 
@@ -141,13 +167,22 @@ class TestCleanup:
         assert _shm_blocks() == []
 
     def test_worker_death_mid_round_raises_and_cleans(self, scale_free):
+        order = degree_order(scale_free)
+        rank = [0] * scale_free.n
+        for r, v in enumerate(order):
+            rank[v] = r
         pool = ShmBuildPool(2)
         try:
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             pool._procs[1].join(timeout=5.0)
             with pytest.raises(IndexConstructionError, match="died|exited"):
-                build_psl(
-                    scale_free, workers=2, kernel="numpy", backend="flat", pool=pool
+                run_shm_rounds(
+                    scale_free,
+                    rank,
+                    order,
+                    pool=pool,
+                    budget=MemoryBudget.unlimited(),
+                    budget_exempt=frozenset(),
                 )
         finally:
             pool.shutdown()
@@ -158,10 +193,8 @@ class TestChildRSSAccounting:
     def test_exit_reports_feed_child_peak(self, scale_free):
         reset_child_peak_rss()
         assert child_peak_rss_mb() == 0.0
-        with ShmBuildPool(2) as pool:
-            build_psl(
-                scale_free, workers=2, kernel="numpy", backend="flat", pool=pool
-            )
+        # build_psl owns its pool; shutting it down reports each worker's RSS.
+        build_psl(scale_free, workers=2, kernel="numpy", backend="flat")
         assert child_peak_rss_mb() > 0.0
         reset_child_peak_rss()
         assert child_peak_rss_mb() == 0.0

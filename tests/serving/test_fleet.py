@@ -21,7 +21,7 @@ from repro.graphs.generators.core_periphery import (
     core_periphery_graph,
 )
 from repro.serving import FleetError, QueryEngine, ServingFleet
-from repro.serving.fleet import BatchTicket
+from repro.serving.fleet import BatchTicket, balanced_tasks
 from repro.storage.binary import load_ct_index_binary
 
 
@@ -136,3 +136,31 @@ class TestLifecycle:
         fleet.shutdown()
         with pytest.raises(FleetError):
             fleet.query(0, 1)
+
+
+class TestBalancedTasks:
+    def test_every_item_assigned_exactly_once(self):
+        sized = [(i, (i * 7) % 13 + 1) for i in range(50)]
+        tasks = balanced_tasks(sized, workers=3)
+        flat = sorted(item for task in tasks for item in task)
+        assert flat == list(range(50))
+
+    def test_skewed_sizes_are_spread(self):
+        # One giant item plus many small ones: the giant must sit alone
+        # in the heaviest task, not drag small items with it.
+        sized = [("giant", 1000)] + [(f"s{i}", 1) for i in range(20)]
+        tasks = balanced_tasks(sized, workers=4)
+        heaviest = tasks[0]
+        assert heaviest == ["giant"]
+
+    def test_deterministic(self):
+        sized = [(i, (i * 31) % 17 + 1) for i in range(40)]
+        assert balanced_tasks(sized, 4) == balanced_tasks(sized, 4)
+
+    def test_task_count_bounded(self):
+        sized = [(i, 1) for i in range(1000)]
+        tasks = balanced_tasks(sized, workers=2)
+        assert len(tasks) == 2
+
+    def test_empty(self):
+        assert balanced_tasks([], 4) == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serving.metrics import BUCKET_EDGES, LatencyHistogram
+from repro.obs.metrics import BUCKET_EDGES, LatencyHistogram
 
 
 class TestLatencyHistogram:

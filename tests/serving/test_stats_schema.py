@@ -1,7 +1,7 @@
 """Regression: ``stats_snapshot()`` keeps its shape on the shared registry.
 
-The engine's histograms migrated from private ``repro.serving.metrics``
-instances onto the process-wide :mod:`repro.obs` registry; downstream
+The engine's histograms live on the process-wide :mod:`repro.obs`
+registry; downstream
 consumers (``serve-bench``, monitoring glue) read the snapshot document,
 so its key structure is a compatibility contract.
 """
@@ -21,7 +21,6 @@ from repro.serving.engine import (
     REQUEST_LATENCY_METRIC,
     QueryEngine,
 )
-from repro.serving.metrics import BUCKET_EDGES, LatencyHistogram
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +107,3 @@ class TestSnapshotSchema:
         assert handle.count == 0
         assert engine.stats_snapshot()["queries"] == 0
 
-    def test_serving_metrics_shim_reexports_the_primitives(self):
-        from repro.obs import metrics as obs_metrics
-
-        assert LatencyHistogram is obs_metrics.LatencyHistogram
-        assert BUCKET_EDGES is obs_metrics.BUCKET_EDGES

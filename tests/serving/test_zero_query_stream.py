@@ -16,9 +16,9 @@ from repro.core.ct_index import CTIndex
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.generators.random_graphs import gnp_graph
 from repro.graphs.io import write_edge_list
+from repro.obs.metrics import LatencyHistogram
 from repro.serving.bench import serve_bench_rows
 from repro.serving.engine import QueryEngine
-from repro.serving.metrics import LatencyHistogram
 
 
 @pytest.fixture(scope="module")
