@@ -14,7 +14,10 @@ counts over one tier — ``speedup_vs_serial`` relative to that tier's
 tier, a ``core_backend="hopdb"`` pair comparing ``hopdb_order="degree"``
 (fingerprint-gated: same canonical labels) against
 ``hopdb_order="psl-rank"`` (BFS-gated: a different hub order builds a
-different, still exact, label set).
+different, still exact, label set).  Beside the requested ``config``,
+each entry records what the built index says actually ran:
+``effective_core_backend`` (``"pll"`` wherever a PSL/hopdb request met
+a weighted core) and ``core_kernel`` (``"numpy"`` or ``"python"``).
 
 Every tier is **gated on correctness before anything is written**:
 
@@ -22,8 +25,9 @@ Every tier is **gated on correctness before anything is written**:
   with the serial pure-Python reference configuration
   (``kernel="python"``, ``core_backend="pll"``, dict backend, no
   workers) and require :func:`~repro.core.serialization.
-  index_fingerprint` identity — the vectorized PSL rounds, flat
-  backend, and any scheduling must be invisible in the built labels;
+  index_fingerprint` identity — the vectorized PLL searches and PSL
+  rounds, flat backend, and any scheduling must be invisible in the
+  built labels;
 * larger tiers, where a second full build would dominate the bench,
   are spot-checked differentially against BFS from sampled sources.
 
@@ -255,6 +259,10 @@ def scale_bench_entry(
         "speedup_vs_serial": None,
         "verify": verify,
         "config": config.to_dict(),
+        # What ran, beside what was requested: PSL/hopdb requests run
+        # PLL on weighted cores.
+        "effective_core_backend": stats.extra["effective_core_backend"],
+        "core_kernel": stats.extra["core_kernel"],
     }
 
 
@@ -379,6 +387,7 @@ def run_scale_bench(
             "workers": entry["workers"],
             "build_s": entry["build_s"],
             "speedup": entry["speedup_vs_serial"] or "",
+            "core": f"{entry['effective_core_backend']}/{entry['core_kernel']}",
             "peak_rss_mb": entry["peak_rss_mb"],
             "entries": entry["entries"],
             "modeled_mb": entry["modeled_mb"],
@@ -395,6 +404,7 @@ def run_scale_bench(
             "workers",
             "build_s",
             "speedup",
+            "core",
             "peak_rss_mb",
             "entries",
             "modeled_mb",

@@ -9,7 +9,8 @@ The pipeline:
 3. **tree-index**: λ-local distances from every forest node to its tree
    ancestors and to its tree's interface (lines 19-32, this module);
 4. **core-index**: PLL (pruned Dijkstra) on the weighted reduced graph
-   ``G_{λ+1}`` (line 33).
+   ``G_{λ+1}`` (line 33), vectorized over each search's frontier when
+   NumPy is installed (:mod:`repro.kernels.pll_search`).
 
 The tree labels are computed in *reverse* elimination order, so the
 recursion of Lemma 15 always reads already-final values: the λ-local
@@ -26,7 +27,7 @@ import time
 import repro.obs as obs
 from repro.exceptions import IndexConstructionError
 from repro.graphs.graph import INF, Graph, Weight
-from repro.kernels import KERNEL_AUTO
+from repro.kernels import KERNEL_AUTO, KERNEL_PYTHON
 from repro.labeling.base import MemoryBudget
 from repro.labeling.ordering import degree_order
 from repro.labeling.pll import PrunedLandmarkLabeling, build_pll
@@ -218,12 +219,19 @@ def build_core_index(
     builds the same canonical label sets, so the choice never changes a
     fingerprint.
 
-    ``workers`` fans the vectorized PSL backend's rounds out over
-    worker processes (see :mod:`repro.parallel`) and ``kernel`` selects
-    PSL's construction path (vectorized vs pure Python).  The PLL and
-    hopdb backends ignore both: a pruned search depends on every earlier
-    root's finished label, so PLL is inherently sequential, and hopdb
-    runs its own composition loop.
+    ``kernel`` selects the construction path of the PLL searches and the
+    PSL rounds (vectorized vs pure Python; ``"auto"`` vectorizes when
+    NumPy is installed); hopdb ignores it.  ``workers`` fans the
+    vectorized PSL rounds out over worker processes (see
+    :mod:`repro.parallel`); PLL and hopdb ignore it: a pruned search
+    depends on every earlier root's finished label, so PLL's roots run
+    one after another, and hopdb runs its own composition loop.
+
+    The returned labeling records what actually ran: ``core_backend``
+    (``"pll"`` whenever a ``"psl"``/``"hopdb"`` request met a weighted
+    core) and ``build_kernel`` (``"numpy"`` or ``"python"``).  Both are
+    reported by the ``ct.core_labeling`` span and
+    :meth:`CTIndex.stats() <repro.core.ct_index.CTIndex.stats>`.
 
     ``hopdb_order`` tunes the hub order of the ``"hopdb"`` backend:
     ``"degree"`` (the default; fingerprint-identical to the other
@@ -281,7 +289,9 @@ def build_core_index(
             )
             labeling = PrunedLandmarkLabeling(core_graph, psl.labels, psl.order)
             labeling.build_seconds = psl.build_seconds
+            labeling.build_kernel = psl.build_kernel
             labeling.round_stats = psl.round_stats
+            labeling.core_backend = "psl"
         elif core_backend == "hopdb" and core_graph.unweighted:
             from repro.labeling.hopdb import build_hopdb
 
@@ -292,10 +302,18 @@ def build_core_index(
             hop = build_hopdb(core_graph, hub_order, budget=budget)
             labeling = PrunedLandmarkLabeling(core_graph, hop.labels, hop.order)
             labeling.build_seconds = hop.build_seconds
+            labeling.build_kernel = KERNEL_PYTHON
+            labeling.core_backend = "hopdb"
         else:
-            labeling = build_pll(core_graph, hub_order, budget=budget)
+            labeling = build_pll(core_graph, hub_order, budget=budget, kernel=kernel)
+            labeling.core_backend = "pll"
         if obs.tracing_enabled():
-            core_span.set(core_n=core_graph.n, entries=labeling.size_entries())
+            core_span.set(
+                core_n=core_graph.n,
+                entries=labeling.size_entries(),
+                effective_core_backend=labeling.core_backend,
+                core_kernel=labeling.build_kernel,
+            )
     if obs.enabled():
         obs.registry().counter("ct.core_label_entries").inc(labeling.size_entries())
     compact = {orig: i for i, orig in enumerate(originals)}
@@ -323,10 +341,11 @@ def construct(
     value keeps MDE and selects the core hub order as in
     :func:`build_core_index`.
 
-    ``workers`` and ``kernel`` reach only the PSL core rounds (see
-    :func:`build_core_index`), without changing any label; every other
-    phase is serial.  ``hopdb_order`` tunes the hopdb backend's hub
-    order.
+    ``kernel`` reaches the core labeling's PLL searches and PSL rounds,
+    ``workers`` only the vectorized PSL rounds (see
+    :func:`build_core_index`); neither changes any label, and every
+    other phase is serial.  ``hopdb_order`` tunes the hopdb backend's
+    hub order.
     """
     order = order or "degree"
     started = time.perf_counter()

@@ -168,7 +168,10 @@ class CTIndex(DistanceIndex):
             propagation where applicable), or ``"hopdb"`` (hop-doubling
             label composition for scale-free cores) — all build the
             same canonical labels; the paper's line 33 treats the
-            backends as interchangeable.
+            backends as interchangeable.  ``"psl"`` and ``"hopdb"``
+            count hops, so on a weighted core (any bandwidth above 0
+            that adds fill edges) PLL runs instead;
+            ``stats().extra["effective_core_backend"]`` reports it.
         extension_cache_size:
             Bound on the per-position extension-label LRU used by
             Case-3/4 queries; ``0`` disables the cache (every query
@@ -193,13 +196,17 @@ class CTIndex(DistanceIndex):
             :mod:`repro.storage`, packed after construction).  Never
             changes an answer.
         kernel:
-            Kernel selection for both the query path and the vectorized
-            PSL construction rounds (see :mod:`repro.kernels`):
-            ``"auto"`` (default — NumPy when installed and the backend
-            is flat), ``"numpy"`` (required; raises
+            Kernel selection for both the query path and the core
+            labeling's construction (the vectorized PLL searches and PSL
+            rounds; see :mod:`repro.kernels`): ``"auto"`` (default —
+            queries use NumPy when installed and the backend is flat,
+            construction whenever NumPy is installed), ``"numpy"``
+            (required; raises
             :class:`~repro.exceptions.ConfigurationError` when NumPy is
             missing or ``backend`` is not ``"flat"``), or ``"python"``
-            (always the interpreter paths).  Never changes an answer.
+            (always the interpreter paths).  Never changes an answer;
+            ``stats().extra["core_kernel"]`` reports the construction
+            path that ran.
         """
         from repro.deprecation import resolve_config_kwargs
 
@@ -430,6 +437,14 @@ class CTIndex(DistanceIndex):
             tree_entries=self.tree_index.size_entries(),
             core_entries=self.core_index.size_entries(),
         )
+        # What built the core labels; built indexes only (snapshots do
+        # not record it).
+        core_backend = getattr(self.core_index, "core_backend", None)
+        if core_backend is not None:
+            extra.update(
+                effective_core_backend=core_backend,
+                core_kernel=self.core_index.build_kernel,
+            )
         return type(stats)(
             method=stats.method,
             entries=stats.entries,

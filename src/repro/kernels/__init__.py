@@ -10,7 +10,11 @@ in a handful of array ops.  This package holds those kernels:
 * :mod:`repro.kernels.label_kernels` — point and batch 2-hop
   intersections over one flat label store;
 * :mod:`repro.kernels.ct_kernels` — the CT-Index 4-case dispatch,
-  including the Lemma 9 extension operation as array reductions.
+  including the Lemma 9 extension operation as array reductions;
+* :mod:`repro.kernels.psl_rounds` and :mod:`repro.kernels.pll_search`
+  — construction kernels: the PSL rounds and the weighted PLL searches,
+  each label-identical to its pure-Python path.  Construction reads no
+  flat store, so builders resolve ``"auto"`` with ``flat=True``.
 
 NumPy stays **optional**: this module imports without it, and the
 submodules above (which do ``import numpy``) are only loaded once

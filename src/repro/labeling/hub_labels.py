@@ -39,6 +39,24 @@ class HubLabeling:
         self._hub_ranks: list[list[int]] = [[] for _ in range(n)]
         self._hub_dists: list[list[Weight]] = [[] for _ in range(n)]
 
+    @classmethod
+    def from_rank_lists(
+        cls,
+        order: list[int],
+        hub_ranks: list[list[int]],
+        hub_dists: list[list[Weight]],
+    ) -> "HubLabeling":
+        """Adopt per-node ascending-rank label lists from a vectorized builder.
+
+        The lists are taken as-is (no copy, no ordering check): the
+        caller guarantees each ``hub_ranks[v]`` ascends, as the builders'
+        rank-ordered commits do.
+        """
+        labels = cls(order)
+        labels._hub_ranks = hub_ranks
+        labels._hub_dists = hub_dists
+        return labels
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

@@ -9,7 +9,11 @@ sorted-merge over two label arrays.
 
 Both the unweighted (pruned BFS) and weighted (pruned Dijkstra) variants
 are provided — the CT core index runs the weighted variant on the
-reduced graph ``G_{λ+1}`` whose edges carry λ-local distances.
+reduced graph ``G_{λ+1}`` whose edges carry λ-local distances.  The
+weighted searches also run vectorized over each search's frontier
+(:mod:`repro.kernels.pll_search`), label-identical to
+:func:`_build_weighted`, the pure-Python reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import time
 from collections import deque
 
 from repro.graphs.graph import INF, Graph, Weight
+from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, resolve_kernel
 from repro.labeling.base import (
     DistanceIndex,
     HubLabelBackendMixin,
@@ -43,6 +48,10 @@ class PrunedLandmarkLabeling(HubLabelBackendMixin, DistanceIndex):
     """
 
     method_name = "PLL"
+
+    #: Construction path that built the labels: ``"numpy"`` (vectorized
+    #: pruned Dijkstra) or ``"python"``; ``None`` when loaded, not built.
+    build_kernel: str | None = None
 
     def __init__(self, graph: Graph, labels: HubLabeling, order: list[int]) -> None:
         self.graph = graph
@@ -68,6 +77,7 @@ def build_pll(
     budget: MemoryBudget | None = None,
     budget_exempt: frozenset[int] | None = None,
     backend: str = "dict",
+    kernel: str = KERNEL_AUTO,
 ) -> PrunedLandmarkLabeling:
     """Build a PLL index on ``graph``.
 
@@ -88,8 +98,20 @@ def build_pll(
         Label storage of the returned index: ``"dict"`` (mutable
         per-node lists) or ``"flat"`` (CSR arrays, packed after the
         pruned searches finish).  Both answer identically.
+    kernel:
+        Construction path of the weighted searches (see
+        :mod:`repro.kernels`): ``"numpy"`` vectorizes each pruned
+        Dijkstra over its frontier (:mod:`repro.kernels.pll_search`),
+        ``"python"`` runs the reference heap search, and ``"auto"``
+        (default) vectorizes when NumPy is installed.  Both build the
+        same labels.  Integer weights totalling at least
+        :data:`repro.kernels.psl_rounds._INF` (or non-real weights) run
+        the Python search whatever the request; unweighted graphs
+        always run the pruned BFS.  The index's ``build_kernel`` says
+        which path ran.
     """
     validate_backend(backend)
+    resolved = resolve_kernel(kernel, flat=True)
     started = time.perf_counter()
     with obs_span("labeling.pll", n=graph.n, m=graph.m) as pll_span:
         if order is None:
@@ -100,16 +122,26 @@ def build_pll(
             budget = MemoryBudget.unlimited()
         if budget_exempt is None:
             budget_exempt = frozenset()
-        labels = HubLabeling(order)
-        if graph.unweighted:
-            _build_unweighted(graph, labels, order, budget, budget_exempt)
-        else:
-            _build_weighted(graph, labels, order, budget, budget_exempt)
+        labels = None
+        if resolved == KERNEL_NUMPY and not graph.unweighted:
+            from repro.kernels.pll_search import build_pruned_dijkstra_labels
+
+            labels = build_pruned_dijkstra_labels(
+                graph, order, budget=budget, budget_exempt=budget_exempt
+            )
+        build_kernel = KERNEL_PYTHON if labels is None else KERNEL_NUMPY
+        if labels is None:
+            labels = HubLabeling(order)
+            if graph.unweighted:
+                _build_unweighted(graph, labels, order, budget, budget_exempt)
+            else:
+                _build_weighted(graph, labels, order, budget, budget_exempt)
         index = PrunedLandmarkLabeling(graph, labels, order)
+        index.build_kernel = build_kernel
         if backend == "flat":
             index.compact()
         if tracing_enabled():
-            pll_span.set(entries=labels.total_entries())
+            pll_span.set(entries=labels.total_entries(), kernel=index.build_kernel)
     index.build_seconds = time.perf_counter() - started
     logger.debug(
         "PLL built: n=%d m=%d entries=%d max_label=%d in %.3fs",
@@ -161,7 +193,7 @@ def _build_weighted(
     budget: MemoryBudget,
     budget_exempt: frozenset[int],
 ) -> None:
-    """One pruned Dijkstra per root, in rank order."""
+    """One pruned Dijkstra per root, in rank order (the Python reference)."""
     dist: list[Weight] = [INF] * graph.n
     for rank, root in enumerate(order):
         root_map = labels.label_rank_map(root)

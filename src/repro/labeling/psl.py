@@ -251,13 +251,9 @@ def build_psl(
             else:
                 from repro.kernels.psl_rounds import labels_to_lists
 
-                hub_ranks, hub_dists = labels_to_lists(
-                    graph.n, lab_keys, lab_dists, lab_indptr
+                labels = HubLabeling.from_rank_lists(
+                    order, *labels_to_lists(graph.n, lab_keys, lab_dists, lab_indptr)
                 )
-                labels = HubLabeling(order)
-                for v in graph.nodes():
-                    for hub_rank, dist in zip(hub_ranks[v], hub_dists[v]):
-                        labels.append_entry(v, hub_rank, dist)
         else:
             round_stats = {}
             # label_maps[v]: rank -> dist, the committed labels of v.
@@ -302,6 +298,9 @@ def build_psl(
                 for hub_rank in sorted(label_maps[v]):
                     labels.append_entry(v, hub_rank, label_maps[v][hub_rank])
         index = ParallelShortestPathLabeling(graph, labels, order, rounds=level)
+        #: Construction path that ran: "numpy" (vectorized rounds) or
+        #: "python".
+        index.build_kernel = KERNEL_NUMPY if vectorize else "python"
         #: Per-round kernel/merge time split of the vectorized paths
         #: (None on the python rounds); scale-bench reports it.
         index.round_stats = round_stats or None

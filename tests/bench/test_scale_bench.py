@@ -69,6 +69,19 @@ class TestSmallTierSmoke:
         assert entry["speedup_vs_serial"] is None
         assert "round_split" in entry
 
+    def test_entry_records_the_effective_core_beside_the_request(self):
+        import repro.kernels as kernels
+
+        entry = scale_bench_entry(_tier("cp-1k"))
+        # The default config asks for PSL rounds, but the CT-20 core is
+        # weighted, so PLL ran; the gate still compared fingerprints
+        # against the kernel="python" reference.
+        assert entry["config"]["core_backend"] == "psl"
+        assert entry["effective_core_backend"] == "pll"
+        expected = "numpy" if kernels.numpy_available() else "python"
+        assert entry["core_kernel"] == expected
+        assert entry["verify"]["mode"] == "fingerprint"
+
     def test_custom_config_is_embedded(self, tmp_path):
         config = BuildConfig(bandwidth=8, backend="flat", core_backend="psl")
         entries, _ = run_scale_bench(["cp-1k"], config=config, output=None)

@@ -91,3 +91,69 @@ class TestConstruct:
         g = random_weighted(gnp_graph(30, 0.15, seed=4), 1, 6, seed=5)
         decomposition, tree_index, core_index, _, _, _ = construct(g, 3)
         assert decomposition.boundary + len(decomposition.core_nodes) == g.n
+
+
+class TestEffectiveCoreConfig:
+    """What built the core labels is reported beside what was requested."""
+
+    @pytest.fixture(scope="class")
+    def fb(self):
+        from repro.bench.datasets import load_dataset
+
+        return load_dataset("fb")
+
+    def test_psl_request_on_weighted_fb_core_reports_pll(self, fb):
+        import repro.kernels as kernels
+        from repro.core.ct_index import CTIndex
+
+        index = CTIndex.build(fb, 20, core_backend="psl")
+        extra = index.stats().extra
+        assert extra["effective_core_backend"] == "pll"
+        expected = "numpy" if kernels.numpy_available() else "python"
+        assert extra["core_kernel"] == expected
+
+    def test_unweighted_core_reports_the_requested_backend(self):
+        from repro.core.ct_index import CTIndex
+
+        g = gnp_graph(40, 0.15, seed=2)
+        psl = CTIndex.build(g, 0, core_backend="psl").stats().extra
+        hopdb = CTIndex.build(g, 0, core_backend="hopdb").stats().extra
+        pll = CTIndex.build(g, 0, core_backend="pll", kernel="python").stats().extra
+        assert psl["effective_core_backend"] == "psl"
+        assert hopdb["effective_core_backend"] == "hopdb"
+        assert hopdb["core_kernel"] == "python"
+        assert (pll["effective_core_backend"], pll["core_kernel"]) == ("pll", "python")
+
+    def test_spans_carry_the_effective_fields(self):
+        import repro.obs as obs
+        from repro.core.ct_index import CTIndex
+
+        g = random_weighted(gnp_graph(40, 0.15, seed=3), 1, 5, seed=3)
+        with obs.observe() as tracer:
+            index = CTIndex.build(g, 2, core_backend="hopdb", kernel="python")
+        core = next(s for s in tracer.finished if s.name == "ct.core_labeling")
+        pll = next(s for s in tracer.finished if s.name == "labeling.pll")
+        assert core.attrs["core_backend"] == "hopdb"
+        assert core.attrs["effective_core_backend"] == "pll"
+        assert core.attrs["core_kernel"] == pll.attrs["kernel"] == "python"
+        assert index.stats().extra["effective_core_backend"] == "pll"
+
+    def test_snapshots_do_not_record_them(self, tmp_path):
+        import repro.kernels as kernels
+        from repro.core.ct_index import CTIndex
+        from repro.core.serialization import index_fingerprint, load_ct_index
+        from repro.storage.binary import save_ct_index_binary
+
+        g = random_weighted(gnp_graph(50, 0.12, seed=4), 1, 7, seed=4)
+        fast = CTIndex.build(g, 3)
+        slow = CTIndex.build(g, 3, kernel="python")
+        if kernels.numpy_available():
+            assert fast.stats().extra["core_kernel"] == "numpy"
+        assert index_fingerprint(fast) == index_fingerprint(slow)
+        fast.build_seconds = slow.build_seconds = 0.0  # the one timed field
+        save_ct_index_binary(fast, tmp_path / "fast.bin")
+        save_ct_index_binary(slow, tmp_path / "slow.bin")
+        assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "slow.bin").read_bytes()
+        loaded = load_ct_index(tmp_path / "fast.bin")
+        assert "effective_core_backend" not in loaded.stats().extra
+        assert "core_kernel" not in loaded.stats().extra

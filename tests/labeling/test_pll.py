@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
+
 import pytest
+
+import repro.kernels as kernels
 
 from repro.exceptions import OverMemoryError
 from repro.graphs.generators.primitives import clique_graph, cycle_graph, grid_graph, path_graph
@@ -126,6 +131,82 @@ class TestBudget:
         g = gnp_graph(20, 0.2, seed=2)
         index = build_pll(g, budget=MemoryBudget.from_megabytes(10))
         assert index.size_entries() > 0
+
+
+KERNELS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            not kernels.numpy_available(), reason="NumPy not installed"
+        ),
+    ),
+]
+
+
+def weighted_gnp(n, p, seed):
+    return random_weighted(gnp_graph(n, p, seed=seed), 1, 9, seed=seed)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestBudgetOnBothKernels:
+    """TestBudget's cases on weighted graphs, where the two kernels differ."""
+
+    def test_budget_overflow_raises(self, kernel):
+        with pytest.raises(OverMemoryError):
+            build_pll(
+                weighted_gnp(40, 0.3, 1),
+                budget=MemoryBudget(limit_bytes=100),
+                kernel=kernel,
+            )
+
+    def test_budget_exempt_nodes_do_not_charge(self, kernel):
+        g = random_weighted(clique_graph(8), 1, 5, seed=3)
+        budget = MemoryBudget(limit_bytes=1)
+        index = build_pll(
+            g, budget=budget, budget_exempt=frozenset(g.nodes()), kernel=kernel
+        )
+        assert index.size_entries() > 0
+        assert budget.charged_entries == 0
+
+    def test_generous_budget_passes(self, kernel):
+        index = build_pll(
+            weighted_gnp(20, 0.2, 2),
+            budget=MemoryBudget.from_megabytes(10),
+            kernel=kernel,
+        )
+        assert index.size_entries() > 0
+
+    @pytest.mark.parametrize("exempt_every", [0, 3])
+    def test_raising_root_and_charges_match_the_python_search(
+        self, kernel, exempt_every
+    ):
+        g = weighted_gnp(40, 0.25, 5)
+        exempt = frozenset(range(0, g.n, exempt_every)) if exempt_every else frozenset()
+        reference = build_pll(g, budget_exempt=exempt, kernel="python")
+        # Charged entries per root (rank order), then running totals.
+        per_root = [0] * g.n
+        for v in g.nodes():
+            if v not in exempt:
+                for hub_rank, _ in reference.labels.iter_rank_entries(v):
+                    per_root[hub_rank] += 1
+        totals = list(itertools.accumulate(per_root))
+        budget = MemoryBudget.unlimited()
+        build_pll(g, budget=budget, budget_exempt=exempt, kernel=kernel)
+        assert budget.charged_entries == totals[-1]
+        for limit in (5, totals[-1] // 3, totals[-1] - 1):
+            budget = MemoryBudget(limit_bytes=8 * limit)
+            with pytest.raises(OverMemoryError):
+                build_pll(g, budget=budget, budget_exempt=exempt, kernel=kernel)
+            # The Python search charges entry by entry and stops at the
+            # first one over the limit; the vectorized one charges each
+            # root's block at once.  Either way the root is the first
+            # whose running total passes the limit.
+            root = bisect.bisect_right(totals, limit)
+            if kernel == "python":
+                assert budget.charged_entries == limit + 1
+            else:
+                assert budget.charged_entries == totals[root]
 
 
 class TestStats:
