@@ -264,11 +264,14 @@ class CTIndex(DistanceIndex):
             backend=backend,
             workers=workers,
         ):
-            with obs_span("ct.reduction"):
+            with obs_span("ct.reduction") as reduction_span:
                 if use_equivalence_reduction:
                     reduction = eliminate_equivalent_nodes(graph)
                 else:
                     reduction = reduction_identity(graph)
+                reduction_span.set(
+                    removed=reduction.removed_count, kernel=reduction.kernel
+                )
             decomposition, tree_index, core_index, originals, compact, _ = construct(
                 reduction.reduced,
                 bandwidth,

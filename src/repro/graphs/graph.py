@@ -14,7 +14,9 @@ to normalize raw edge lists into this form.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import Union
 
 from repro.exceptions import GraphError
@@ -202,6 +204,32 @@ class Graph:
                 if u < v:
                     yield (u, v, w)
 
+    def csr_arrays(self):
+        """The adjacency as NumPy ``(offsets, targets, weights)`` arrays.
+
+        Node ``v``'s row is ``targets[offsets[v] : offsets[v + 1]]``
+        (ascending, as :meth:`neighbor_ids`) with aligned ``weights``;
+        all three are fresh ``int64`` arrays.  ``weights`` is ``None``
+        unless every weight is an ``int`` that fits in 64 bits, so a
+        caller never mistakes ``1.0`` or ``INF`` for an integer.
+        Requires NumPy.
+        """
+        import numpy as np
+
+        offsets = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, self._adj_ids), dtype=np.int64, count=self._n),
+            out=offsets[1:],
+        )
+        targets = np.fromiter(
+            chain.from_iterable(self._adj_ids), dtype=np.int64, count=2 * self._m
+        )
+        try:
+            packed = array("q", list(chain.from_iterable(self._adj_weights)))
+        except (TypeError, OverflowError):
+            return offsets, targets, None
+        return offsets, targets, np.frombuffer(packed, dtype=np.int64)
+
     def total_weight(self) -> Weight:
         """Sum of all edge weights."""
         return sum(w for _, _, w in self.edges())
@@ -287,6 +315,54 @@ class Graph:
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self._n:
             raise GraphError(f"node {v} is out of range for a {self._n}-node graph")
+
+
+def graph_from_edge_arrays(n: int, us, vs, ws) -> Graph:
+    """Assemble a :class:`Graph` from NumPy edge arrays (each edge once).
+
+    ``us``/``vs`` are integer endpoint arrays and ``ws`` the aligned
+    weights, integer or float.  Sorting, the bounds/weight/loop/duplicate
+    checks and the CSR split all run as array operations, so this is the
+    fast array -> ``Graph`` path of the snapshot loader and the twin
+    reduction.  Raises :class:`GraphError` on an endpoint outside
+    ``0..n-1``, a non-positive weight, a self-loop, or an edge listed
+    twice.  Requires NumPy.
+    """
+    import numpy as np
+
+    u = np.asarray(us).astype(np.int64, copy=False)
+    v = np.asarray(vs).astype(np.int64, copy=False)
+    w = np.asarray(ws)
+    m = len(u)
+    if m and not (
+        0 <= int(u.min()) and int(u.max()) < n and 0 <= int(v.min()) and int(v.max()) < n
+    ):
+        raise GraphError(f"edge endpoint outside 0..{n - 1}")
+    if m and bool((w <= 0).any()):
+        raise GraphError("non-positive edge weight")
+    loops = np.nonzero(u == v)[0]
+    if loops.size:
+        raise GraphError(f"self-loop on node {int(u[loops[0]])}")
+    unweighted = bool((w == 1).all())
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    src = src[order]
+    dst = dst[order]
+    hits = np.nonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))[0]
+    if hits.size:
+        raise GraphError(f"parallel edges at node {int(src[hits[0]])}")
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
+    bounds = bounds.tolist()
+    ids_flat = dst.tolist()
+    adj_ids = [tuple(ids_flat[bounds[i] : bounds[i + 1]]) for i in range(n)]
+    if unweighted:
+        adj_weights: list[tuple[Weight, ...]] = [(1,) * len(ids) for ids in adj_ids]
+    else:
+        wt = np.concatenate([w, w])[order].tolist()
+        adj_weights = [tuple(wt[bounds[i] : bounds[i + 1]]) for i in range(n)]
+    return Graph._from_trusted_rows(n, adj_ids, adj_weights, m, unweighted=unweighted)
 
 
 def _binary_find(ids: tuple[int, ...], target: int) -> int:

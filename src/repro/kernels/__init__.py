@@ -32,6 +32,12 @@ selection is explicit everywhere it is wired through
 
 Every kernel is answer-identical to the scalar path — the differential
 suite pins this — so selection is purely a performance choice.
+
+:func:`numpy_available` alone also picks the NumPy paths that sit beside
+their Python references outside this package: the twin reduction
+(:mod:`repro.graphs.reductions`), the LCA sparse table
+(:mod:`repro.treedec.lca`) and the snapshot writer and graph loader
+(:mod:`repro.storage.binary`).  Their outputs are identical either way.
 """
 
 from __future__ import annotations

@@ -56,12 +56,13 @@ from array import array
 from pathlib import Path
 from typing import Union
 
-from repro.exceptions import ReproError, SerializationError
-from repro.graphs.graph import INF, Graph, Weight
-from repro.obs.tracing import span as obs_span, tracing_enabled
+from repro.exceptions import GraphError, ReproError, SerializationError
+from repro.graphs.graph import INF, Graph, Weight, graph_from_edge_arrays
 from repro.graphs.reductions import EquivalenceReduction
+from repro.kernels import numpy_available
+from repro.obs.tracing import span as obs_span, tracing_enabled
 from repro.storage.flat_labels import FlatLabelStore
-from repro.storage.flat_tree import INF_SENTINEL, FlatTreeLabelStore
+from repro.storage.flat_tree import INF_SENTINEL, FlatTreeLabelStore, pack_optional_inf
 from repro.storage.mapped import LazyGraph, MappedArray, MappedSnapshot
 
 PathLike = Union[str, os.PathLike]
@@ -130,12 +131,20 @@ def _narrowed(values: array) -> array:
 
     Integer arrays only — floats and empty arrays come back unchanged.
     Signed arrays stay signed (the -1 INF sentinel survives), unsigned
-    stay unsigned.
+    stay unsigned.  With NumPy the bounds and the recoding run as array
+    operations; the bytes are the same either way.
     """
     if values.typecode not in _INT_CODES or not len(values):
         return values
     signed = values.typecode in _SIGNED_INT_CODES
-    lo, hi = min(values), max(values)
+    if numpy_available():
+        from repro.kernels.views import as_ndarray
+
+        view = as_ndarray(values)
+        lo, hi = int(view.min()), int(view.max())
+    else:
+        view = None
+        lo, hi = min(values), max(values)
     for code in _SIGNED_INT_CODES if signed else _UNSIGNED_INT_CODES:
         bits = array(code).itemsize * 8
         if signed:
@@ -143,8 +152,14 @@ def _narrowed(values: array) -> array:
         else:
             fits = hi < 1 << bits
         if fits:
-            return values if code == values.typecode else array(code, values)
-    return values  # pragma: no cover - 'q'/'Q' always fit
+            break
+    if code == values.typecode:
+        return values
+    if view is None:
+        return array(code, values)
+    narrow = array(code)
+    narrow.frombytes(view.astype(code).tobytes())
+    return narrow
 
 
 def _put_narrow(buf: bytearray, values: array) -> None:
@@ -238,17 +253,8 @@ class _Cursor:
             )
 
 
-def _weights_to_array(values: list[Weight]) -> array:
-    """Distances (possibly ``INF``) as ``'q'`` with -1 sentinel, else ``'d'``."""
-    if all(isinstance(value, int) or value == INF for value in values):
-        return array(
-            "q", (INF_SENTINEL if value == INF else value for value in values)
-        )
-    return array("d", values)
-
-
 def _weights_from_array(packed: array) -> list[Weight]:
-    """Invert :func:`_weights_to_array`; reject sub-sentinel garbage."""
+    """Invert :func:`pack_optional_inf`; reject sub-sentinel garbage."""
     if packed.typecode in _SIGNED_INT_CODES:
         lowest = min(packed, default=0)
         if lowest >= 0:  # common case: no INF entries, no decode loop
@@ -267,6 +273,14 @@ def _weights_from_array(packed: array) -> list[Weight]:
 
 
 def _put_graph(buf: bytearray, graph: Graph) -> None:
+    """Graph blob: ``n`` + the ``u < v`` edges in :meth:`Graph.edges` order."""
+    _put_u64(buf, graph.n)
+    if numpy_available():
+        offsets, targets, weights = graph.csr_arrays()
+        if weights is not None:
+            for column in _upper_edge_columns(offsets, targets, weights):
+                _put_narrow(buf, column)
+            return
     us: list[int] = []
     vs: list[int] = []
     ws: list[Weight] = []
@@ -274,10 +288,26 @@ def _put_graph(buf: bytearray, graph: Graph) -> None:
         us.append(u)
         vs.append(v)
         ws.append(w)
-    _put_u64(buf, graph.n)
     _put_narrow(buf, array("q", us))
     _put_narrow(buf, array("q", vs))
-    _put_narrow(buf, _weights_to_array(ws))
+    _put_narrow(buf, pack_optional_inf(ws))
+
+
+def _upper_edge_columns(offsets, targets, weights) -> list[array]:
+    """The ``u``, ``v``, ``w`` columns of the ``u < v`` half of a CSR.
+
+    Row-major with ascending targets, as :meth:`Graph.edges` yields them.
+    """
+    import numpy as np
+
+    src = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    upper = src < targets
+    columns = []
+    for values in (src, targets, weights):
+        column = array("q")
+        column.frombytes(values[upper].tobytes())
+        columns.append(column)
+    return columns
 
 
 def _read_graph(cursor: _Cursor) -> Graph:
@@ -293,10 +323,19 @@ def _read_graph(cursor: _Cursor) -> Graph:
         raise SerializationError(
             f"section {cursor.name!r} holds ragged edge arrays"
         )
-    from repro.kernels import numpy_available
-
     if numpy_available():
-        return _assemble_graph_numpy(cursor.name, n, us, vs, packed_ws)
+        from repro.kernels.views import as_ndarray
+
+        w = as_ndarray(packed_ws)
+        # Integer weights below zero are the INF sentinel (or garbage);
+        # the loop below decodes and rejects them.
+        if w.dtype.kind == "f" or not len(w) or int(w.min()) >= 0:
+            try:
+                return graph_from_edge_arrays(n, as_ndarray(us), as_ndarray(vs), w)
+            except GraphError as exc:
+                raise SerializationError(
+                    f"section {cursor.name!r} holds an invalid graph: {exc}"
+                ) from exc
     ws = _weights_from_array(packed_ws)
     # The writer dumps an already-normalized graph (each edge once), so
     # adjacency is assembled directly instead of re-deduplicating through
@@ -343,79 +382,6 @@ def _read_graph(cursor: _Cursor) -> Graph:
     return Graph._from_trusted_rows(
         n, adj_ids, adj_weights, len(us), unweighted=unweighted
     )
-
-
-def _assemble_graph_numpy(name: str, n: int, us, vs, packed_ws) -> Graph:
-    """Vectorized :func:`_read_graph` body (same checks, same graph).
-
-    Sorting, bounds/loop/duplicate detection, and the CSR split all run
-    as array reductions, which is most of the snapshot decode on real
-    graphs.  ``us``/``vs``/``packed_ws`` may be ``array.array`` copies
-    or :class:`~repro.storage.mapped.MappedArray` views — both expose a
-    buffer.
-    """
-    import numpy as np
-
-    u = np.frombuffer(getattr(us, "raw", us), dtype=np.dtype(us.typecode))
-    v = np.frombuffer(getattr(vs, "raw", vs), dtype=np.dtype(vs.typecode))
-    w = np.frombuffer(getattr(packed_ws, "raw", packed_ws), dtype=np.dtype(packed_ws.typecode))
-    u = u.astype(np.int64, copy=False)
-    v = v.astype(np.int64, copy=False)
-    m = len(u)
-    if m and not (
-        0 <= int(u.min()) and int(u.max()) < n and 0 <= int(v.min()) and int(v.max()) < n
-    ):
-        raise SerializationError(
-            f"section {name!r} holds an edge endpoint outside 0..{n - 1}"
-        )
-    integral = w.dtype.kind in "iu"
-    has_inf = False
-    if m:
-        if integral:
-            if int(w.min()) < INF_SENTINEL:
-                raise SerializationError(
-                    f"negative distance {int(w.min())} in integer weight array"
-                )
-            has_inf = bool((w == INF_SENTINEL).any())
-            if bool(((w <= 0) & (w != INF_SENTINEL)).any()):
-                raise SerializationError(
-                    f"section {name!r} holds a non-positive edge weight"
-                )
-        elif bool((w <= 0).any()):
-            raise SerializationError(
-                f"section {name!r} holds a non-positive edge weight"
-            )
-        loops = np.nonzero(u == v)[0]
-        if loops.size:
-            raise SerializationError(
-                f"section {name!r} holds a self-loop on node {int(u[loops[0]])}"
-            )
-    unweighted = bool((w == 1).all())
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    if m:
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        hits = np.nonzero(dup)[0]
-        if hits.size:
-            raise SerializationError(
-                f"section {name!r} holds parallel edges at node {int(src[hits[0]])}"
-            )
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=bounds[1:])
-    bounds = bounds.tolist()
-    ids_flat = dst.tolist()
-    adj_ids = [tuple(ids_flat[bounds[i] : bounds[i + 1]]) for i in range(n)]
-    if unweighted:
-        adj_weights: list[tuple[Weight, ...]] = [(1,) * len(ids) for ids in adj_ids]
-    else:
-        wt = np.concatenate([w, w])[order].tolist()
-        if has_inf:
-            wt = [INF if value == INF_SENTINEL else value for value in wt]
-        adj_weights = [tuple(wt[bounds[i] : bounds[i + 1]]) for i in range(n)]
-    return Graph._from_trusted_rows(n, adj_ids, adj_weights, m, unweighted=unweighted)
 
 
 def _skip_graph(cursor: _Cursor) -> tuple[int, object]:
@@ -466,6 +432,14 @@ def save_ct_index_binary(index, path: PathLike) -> None:
     the way out); the snapshot itself is backend-agnostic, like the JSON
     document.
     """
+    with obs_span("storage.binary_save") as save_span:
+        snapshot = _encode_snapshot(index)
+        Path(path).write_bytes(snapshot)
+        save_span.set(bytes=len(snapshot))
+
+
+def _encode_snapshot(index) -> bytes:
+    """The whole v4 snapshot of ``index``: header, section table, bodies."""
     sections: dict[str, bytes] = {}
 
     meta = {
@@ -508,7 +482,7 @@ def save_ct_index_binary(index, path: PathLike) -> None:
     _put_narrow(buf, array("q", nodes))
     _put_narrow(buf, array("q", counts))
     _put_narrow(buf, array("q", flat_neighbors))
-    _put_narrow(buf, _weights_to_array(flat_dists))
+    _put_narrow(buf, pack_optional_inf(flat_dists))
     core_nodes = elimination.core_nodes
     core_counts: list[int] = []
     core_targets: list[int] = []
@@ -522,7 +496,7 @@ def save_ct_index_binary(index, path: PathLike) -> None:
     _put_narrow(buf, array("q", core_nodes))
     _put_narrow(buf, array("q", core_counts))
     _put_narrow(buf, array("q", core_targets))
-    _put_narrow(buf, _weights_to_array(core_weights))
+    _put_narrow(buf, pack_optional_inf(core_weights))
     sections["elim"] = bytes(buf)
 
     tree_store = FlatTreeLabelStore.from_labels(index.tree_index.labels)
@@ -555,7 +529,7 @@ def save_ct_index_binary(index, path: PathLike) -> None:
         )
         body += payload
         offset += len(payload)
-    Path(path).write_bytes(bytes(table + body))
+    return bytes(table + body)
 
 
 # ----------------------------------------------------------------------

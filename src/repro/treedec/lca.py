@@ -8,7 +8,10 @@ linear-ish preprocessing, O(1) per query.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.exceptions import DecompositionError
+from repro.kernels import numpy_available
 
 
 class ForestLCA:
@@ -70,22 +73,8 @@ class ForestLCA:
         self._log = [0] * (size + 1)
         for i in range(2, size + 1):
             self._log[i] = self._log[i // 2] + 1
-        # table[k][i] = index (into euler) of the min-depth entry in
-        # euler[i : i + 2^k].
-        table: list[list[int]] = [list(range(size))]
-        k = 1
-        while (1 << k) <= size:
-            previous = table[k - 1]
-            length = size - (1 << k) + 1
-            row = [0] * length
-            half = 1 << (k - 1)
-            for i in range(length):
-                left = previous[i]
-                right = previous[i + half]
-                row[i] = left if self._depth_at[left] <= self._depth_at[right] else right
-            table.append(row)
-            k += 1
-        self._table = table
+        build = _sparse_table_numpy if numpy_available() else _sparse_table_python
+        self._table = build(self._depth_at)
 
     @property
     def n(self) -> int:
@@ -120,6 +109,55 @@ class ForestLCA:
     def is_ancestor(self, ancestor: int, v: int) -> bool:
         """True when ``ancestor`` is ``v`` itself or a proper ancestor."""
         return self.same_tree(ancestor, v) and self.lca(ancestor, v) == ancestor
+
+
+def _sparse_table_python(depth_at: list[int]) -> list[list[int]]:
+    """Sparse table over an Euler tour's depths.
+
+    ``table[k][i]`` is the index (into the tour) of the min-depth entry
+    in ``tour[i : i + 2^k]``; ties keep the left entry.
+    """
+    size = len(depth_at)
+    table: list[list[int]] = [list(range(size))]
+    k = 1
+    while (1 << k) <= size:
+        previous = table[k - 1]
+        length = size - (1 << k) + 1
+        row = [0] * length
+        half = 1 << (k - 1)
+        for i in range(length):
+            left = previous[i]
+            right = previous[i + half]
+            row[i] = left if depth_at[left] <= depth_at[right] else right
+        table.append(row)
+        k += 1
+    return table
+
+
+def _sparse_table_numpy(depth_at: list[int]) -> list[array]:
+    """:func:`_sparse_table_python` with each level one ``np.where``.
+
+    Rows are kept as the narrowest unsigned ``array`` that indexes the
+    tour, so queries read them like lists without a Python int per cell.
+    """
+    import numpy as np
+
+    size = len(depth_at)
+    code = next(c for c in "HIQ" if size <= 1 << (8 * array(c).itemsize))
+    depth = np.asarray(depth_at, dtype=np.int64)
+    level = np.arange(size, dtype=np.dtype(code))
+    table = []
+    half = 1
+    while True:
+        row = array(code)
+        row.frombytes(level.tobytes())
+        table.append(row)
+        if 2 * half > size:
+            return table
+        left = level[: size - 2 * half + 1]
+        right = level[half : size - half + 1]
+        level = np.where(depth[left] <= depth[right], left, right)
+        half *= 2
 
 
 def naive_lca(parent: list[int | None], u: int, v: int) -> int | None:

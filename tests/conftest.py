@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.kernels as kernels
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.generators.primitives import (
     clique_graph,
@@ -50,6 +51,37 @@ def paper_graph() -> Graph:
     for u, v in edges_1based:
         builder.add_edge(u - 1, v - 1)
     return builder.build()
+
+
+@pytest.fixture(params=["numpy", "python"])
+def kernel_state(request, monkeypatch) -> str:
+    """Run a test on the NumPy paths and again without NumPy.
+
+    The ``"python"`` leg sets ``repro.kernels._NUMPY_STATE = False``;
+    the ``"numpy"`` leg skips when NumPy is not installed.
+    """
+    if request.param == "numpy":
+        if not kernels.numpy_available():
+            pytest.skip("NumPy not installed")
+    else:
+        monkeypatch.setattr(kernels, "_NUMPY_STATE", False)
+    return request.param
+
+
+@pytest.fixture
+def python_path():
+    """``call(fn, *args)`` runs ``fn`` with NumPy reported missing.
+
+    Gives the pure-Python reference result whatever ``kernel_state`` a
+    test runs under.
+    """
+
+    def call(fn, *args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_NUMPY_STATE", False)
+            return fn(*args)
+
+    return call
 
 
 @pytest.fixture

@@ -54,6 +54,13 @@ class TestBuildSpans:
         by_id = {s.span_id: s for s in tracer.finished}
         assert by_id[mde.parent_id].name == "ct.decompose"
 
+    def test_reduction_span_says_what_ran(self, graph, kernel_state):
+        with obs.observe() as tracer:
+            index = CTIndex.build(graph, 4)
+        reduction = next(s for s in tracer.finished if s.name == "ct.reduction")
+        assert reduction.attrs["kernel"] == kernel_state
+        assert reduction.attrs["removed"] == index.reduction.removed_count > 0
+
     def test_psl_levels_traced(self, graph):
         with obs.observe() as tracer:
             build_psl(graph)
@@ -85,6 +92,14 @@ class TestBuildSpans:
         assert load_span.attrs["backend"] == "flat"
         assert load_span.attrs["bytes"] > 0
         assert index_fingerprint(loaded) == index_fingerprint(index)
+
+    def test_binary_save_traced(self, graph, tmp_path):
+        index = CTIndex.build(graph, 4, backend="flat")
+        path = tmp_path / "index.bin"
+        with capture() as tracer:
+            save_ct_index_binary(index, path)
+        save_span = next(s for s in tracer.finished if s.name == "storage.binary_save")
+        assert save_span.attrs["bytes"] == path.stat().st_size
 
 
 class TestFingerprintNeutrality:

@@ -5,6 +5,7 @@ fingerprint and answer for answer on queries."""
 from __future__ import annotations
 
 import math
+from array import array
 
 import pytest
 
@@ -18,8 +19,11 @@ from repro.core.serialization import (
     save_ct_index_binary,
 )
 from repro.exceptions import IndexConstructionError, SerializationError
+from repro.graphs.builder import GraphBuilder
 from repro.graphs.generators.primitives import star_graph
 from repro.graphs.generators.random_graphs import gnp_graph, random_weighted
+from repro.graphs.graph import Graph
+from repro.storage import binary
 from repro.graphs.traversal import all_pairs_distances
 
 
@@ -179,3 +183,68 @@ class TestWeightedAndSpecial:
         loaded = load_ct_index(path)
         assert loaded.bandwidth == bandwidth
         assert index_fingerprint(loaded) == index_fingerprint(index)
+
+
+def _reweighted(weight_of) -> Graph:
+    base = gnp_graph(14, 0.3, seed=9)
+    builder = GraphBuilder(base.n)
+    for i, (u, v, _) in enumerate(base.edges()):
+        builder.add_edge(u, v, weight_of(i))
+    return builder.build()
+
+
+WRITER_GRAPHS = {
+    "unweighted": lambda: gnp_graph(30, 0.15, seed=2),
+    "int-weighted": lambda: random_weighted(gnp_graph(20, 0.25, seed=3), 1, 300, seed=4),
+    "float": lambda: _reweighted(lambda i: 1.5 + i),
+    "unit-floats": lambda: _reweighted(lambda i: 1.0),
+    "inf": lambda: _reweighted(lambda i: math.inf if i % 3 == 0 else i + 1),
+    "edgeless": lambda: Graph.empty(5),
+    "empty": lambda: Graph.empty(0),
+}
+
+NARROWING_INPUTS = [
+    array("q"),
+    array("q", [0, 1, 2]),
+    array("q", [-1, 5, 127]),
+    array("q", [-129, 4]),
+    array("q", [-1, 32768]),
+    array("q", [1 << 31, 3]),
+    array("q", [-(1 << 62), 1 << 62]),
+    array("Q", [255]),
+    array("Q", [256, 0]),
+    array("I", [70_000]),
+    array("Q", [1 << 63]),
+    array("B", [3]),
+    array("d", [1.5, math.inf]),
+]
+
+
+class TestWriterKernels:
+    """The NumPy writer paths emit the pure-Python bytes."""
+
+    @pytest.mark.parametrize("name", sorted(WRITER_GRAPHS))
+    def test_put_graph_bytes(self, kernel_state, python_path, name):
+        graph = WRITER_GRAPHS[name]()
+        written, expected = bytearray(), bytearray()
+        binary._put_graph(written, graph)
+        python_path(binary._put_graph, expected, graph)
+        assert written == expected
+
+    @pytest.mark.parametrize("values", NARROWING_INPUTS, ids=repr)
+    def test_narrowed_bytes(self, kernel_state, python_path, values):
+        narrowed = binary._narrowed(values)
+        expected = python_path(binary._narrowed, values)
+        assert narrowed.typecode == expected.typecode
+        assert narrowed.tobytes() == expected.tobytes()
+        assert list(narrowed) == list(values)
+
+    def test_snapshot_bytes_match_python_build(self, kernel_state, python_path, tmp_path):
+        def snapshot(path):
+            index = CTIndex.build(gnp_graph(60, 0.05, seed=11), 3)
+            index.build_seconds = 1.0
+            save_ct_index_binary(index, path)
+            return path.read_bytes()
+
+        written = snapshot(tmp_path / "state.ctsnap")
+        assert written == python_path(snapshot, tmp_path / "python.ctsnap")

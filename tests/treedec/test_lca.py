@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DecompositionError
-from repro.treedec.lca import ForestLCA, naive_lca
+from repro.treedec.lca import ForestLCA, _sparse_table_python, naive_lca
 
 
 def random_forest(n: int, n_roots: int, seed: int) -> list[int | None]:
@@ -95,3 +97,51 @@ class TestForest:
                 depth += 1
                 x = parent[x]
             assert lca.depth(v) == depth
+
+
+@st.composite
+def forests(draw) -> list[int | None]:
+    """A random forest (possibly empty) as a parent array, ids shuffled."""
+    n = draw(st.integers(0, 70))
+    shape = [
+        None if v == 0 or draw(st.integers(0, 5)) == 0 else draw(st.integers(0, v - 1))
+        for v in range(n)
+    ]
+    ids = draw(st.permutations(range(n)))
+    parent: list[int | None] = [None] * n
+    for v, p in enumerate(shape):
+        parent[ids[v]] = None if p is None else ids[p]
+    return parent
+
+
+class TestSparseTableKernels:
+    """The NumPy sparse table equals the Python one cell for cell."""
+
+    @pytest.mark.parametrize("parent", [[], [None], [None, 0], [None, None]])
+    def test_tiny_forests(self, kernel_state, parent):
+        lca = ForestLCA(parent)
+        assert [list(row) for row in lca._table] == _sparse_table_python(lca._depth_at)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(parent=forests())
+    def test_random_forests(self, kernel_state, parent):
+        lca = ForestLCA(parent)
+        assert [list(row) for row in lca._table] == _sparse_table_python(lca._depth_at)
+        for u in range(len(parent)):
+            for v in range(u, len(parent)):
+                expected = naive_lca(parent, u, v)
+                if expected is None:
+                    assert not lca.same_tree(u, v)
+                else:
+                    assert lca.lca(u, v) == expected
+
+    def test_deep_path_crosses_many_levels(self, kernel_state):
+        parent = [None] + list(range(299))
+        lca = ForestLCA(parent)
+        assert len(lca._table) == 10  # 599 tour entries
+        assert [list(row) for row in lca._table] == _sparse_table_python(lca._depth_at)
+        assert lca.lca(299, 150) == 150
