@@ -12,11 +12,17 @@ The pipeline:
    ``G_{λ+1}`` (line 33), vectorized over each search's frontier when
    NumPy is installed (:mod:`repro.kernels.pll_search`).
 
-The tree labels are computed in *reverse* elimination order, so the
-recursion of Lemma 15 always reads already-final values: the λ-local
-distance from ``v_i`` to a target ``u`` is either the recorded wedge
-weight ``δ⁻(u)`` (when ``u ∈ N_i``) or routes through a tree neighbor
-``v_j`` as ``δ⁻(v_j) + δ^T(v_j, u)``.
+The recursion of Lemma 15 gives the λ-local distance from ``v_i`` to a
+target ``u`` as either the recorded wedge weight ``δ⁻(u)`` (when
+``u ∈ N_i``) or a route through a tree neighbor ``v_j`` as
+``δ⁻(v_j) + δ^T(v_j, u)``.  Every tree neighbor is a strict tree
+ancestor (Lemma 2), so a label only reads labels of shallower
+positions.  With NumPy installed the labels are computed level by
+level, from the roots down: one vectorized round per depth level
+(:mod:`repro.kernels.tree_labels`).  :func:`compute_tree_labels` is the
+pure-Python oracle: it walks the positions in *reverse* elimination
+order, so every label it reads is already final.  Both build the same
+labels entry for entry.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import time
 import repro.obs as obs
 from repro.exceptions import IndexConstructionError
 from repro.graphs.graph import INF, Graph, Weight
-from repro.kernels import KERNEL_AUTO, KERNEL_PYTHON
+from repro.kernels import KERNEL_AUTO, KERNEL_NUMPY, KERNEL_PYTHON, resolve_kernel
 from repro.labeling.base import MemoryBudget
 from repro.labeling.ordering import degree_order
 from repro.labeling.pll import PrunedLandmarkLabeling, build_pll
@@ -46,11 +52,15 @@ class TreeIndex:
     backend's ``list[dict]`` or a packed
     :class:`~repro.storage.flat_tree.FlatTreeLabelStore`; both expose
     the same mapping-per-position view.
+
+    ``build_kernel`` says which path computed the labels (``"numpy"``
+    or ``"python"``); it is ``None`` for a loaded index.
     """
 
     def __init__(self, decomposition: CoreTreeDecomposition, labels) -> None:
         self.decomposition = decomposition
         self.labels = labels
+        self.build_kernel: str | None = None
         # Flat stores answer point lookups directly (one bisect) instead
         # of materializing a mapping view per probe.
         self._local_get = getattr(labels, "local_get", None)
@@ -162,16 +172,41 @@ def build_tree_index(
     decomposition: CoreTreeDecomposition,
     *,
     budget: MemoryBudget | None = None,
+    kernel: str = KERNEL_AUTO,
 ) -> TreeIndex:
-    """Compute the λ-local distance labels (Algorithm 1, lines 19-32)."""
+    """Compute the λ-local distance labels (Algorithm 1, lines 19-32).
+
+    ``kernel`` picks the path as :func:`~repro.labeling.pll.build_pll`
+    does: ``"numpy"`` (or ``"auto"`` with NumPy installed) runs the
+    level-synchronous sweep of :mod:`repro.kernels.tree_labels`,
+    ``"python"`` the oracle :func:`compute_tree_labels`.  Mixed or
+    non-real local distances and integer totals reaching
+    :data:`repro.kernels.psl_rounds._INF` run the oracle whatever the
+    request.  Both build the same labels; the index's ``build_kernel``
+    says which path ran.
+    """
     if budget is None:
         budget = MemoryBudget.unlimited()
+    resolved = resolve_kernel(kernel, flat=True)
     with obs_span(
         "ct.forest_labeling", boundary=decomposition.boundary
     ) as forest_span:
-        index = TreeIndex(decomposition, compute_tree_labels(decomposition, budget))
+        built = None
+        if resolved == KERNEL_NUMPY:
+            from repro.kernels.tree_labels import tree_label_store
+
+            built = tree_label_store(decomposition, budget)
+        if built is None:
+            index = TreeIndex(decomposition, compute_tree_labels(decomposition, budget))
+            index.build_kernel, levels = KERNEL_PYTHON, None
+        else:
+            store, levels = built
+            index = TreeIndex(decomposition, store.to_dicts())
+            index.build_kernel = KERNEL_NUMPY
         if obs.tracing_enabled():
-            forest_span.set(entries=index.size_entries())
+            forest_span.set(
+                entries=index.size_entries(), kernel=index.build_kernel, levels=levels
+            )
     if obs.enabled():
         obs.registry().counter("ct.forest_label_entries").inc(index.size_entries())
     return index
@@ -341,11 +376,11 @@ def construct(
     value keeps MDE and selects the core hub order as in
     :func:`build_core_index`.
 
-    ``kernel`` reaches the core labeling's PLL searches and PSL rounds,
-    ``workers`` only the vectorized PSL rounds (see
-    :func:`build_core_index`); neither changes any label, and every
-    other phase is serial.  ``hopdb_order`` tunes the hopdb backend's
-    hub order.
+    ``kernel`` reaches the forest labels (:func:`build_tree_index`) and
+    the core labeling's PLL searches and PSL rounds, ``workers`` only
+    the vectorized PSL rounds (see :func:`build_core_index`); neither
+    changes any label, and every other phase is serial.
+    ``hopdb_order`` tunes the hopdb backend's hub order.
     """
     order = order or "degree"
     started = time.perf_counter()
@@ -361,7 +396,7 @@ def construct(
             )
         else:
             decomposition = core_tree_decomposition(graph, bandwidth)
-    tree_index = build_tree_index(decomposition, budget=budget)
+    tree_index = build_tree_index(decomposition, budget=budget, kernel=kernel)
     core_index, originals, compact = build_core_index(
         decomposition,
         budget=budget,

@@ -196,17 +196,18 @@ class CTIndex(DistanceIndex):
             :mod:`repro.storage`, packed after construction).  Never
             changes an answer.
         kernel:
-            Kernel selection for both the query path and the core
-            labeling's construction (the vectorized PLL searches and PSL
-            rounds; see :mod:`repro.kernels`): ``"auto"`` (default —
+            Kernel selection for both the query path and the
+            construction (the level-synchronous forest labels, the
+            vectorized PLL searches and PSL rounds; see
+            :mod:`repro.kernels`): ``"auto"`` (default —
             queries use NumPy when installed and the backend is flat,
             construction whenever NumPy is installed), ``"numpy"``
             (required; raises
             :class:`~repro.exceptions.ConfigurationError` when NumPy is
             missing or ``backend`` is not ``"flat"``), or ``"python"``
             (always the interpreter paths).  Never changes an answer;
-            ``stats().extra["core_kernel"]`` reports the construction
-            path that ran.
+            ``stats().extra["core_kernel"]`` and ``["forest_kernel"]``
+            report the construction paths that ran.
         """
         from repro.deprecation import resolve_config_kwargs
 
@@ -440,14 +441,16 @@ class CTIndex(DistanceIndex):
             tree_entries=self.tree_index.size_entries(),
             core_entries=self.core_index.size_entries(),
         )
-        # What built the core labels; built indexes only (snapshots do
-        # not record it).
+        # What built the labels; built indexes only (snapshots do not
+        # record it).
         core_backend = getattr(self.core_index, "core_backend", None)
         if core_backend is not None:
             extra.update(
                 effective_core_backend=core_backend,
                 core_kernel=self.core_index.build_kernel,
             )
+        if self.tree_index.build_kernel is not None:
+            extra.update(forest_kernel=self.tree_index.build_kernel)
         return type(stats)(
             method=stats.method,
             entries=stats.entries,

@@ -42,6 +42,7 @@ from repro.labeling.pll import PrunedLandmarkLabeling
 from repro.core.construction import TreeIndex
 from repro.core.ct_index import CTIndex
 from repro.treedec.elimination import EliminationResult, EliminationStep
+from repro.storage.binary import step_neighbor_fault
 from repro.storage.binary import (  # noqa: F401  (re-exported: one import site for persistence)
     BINARY_FORMAT_VERSION,
     is_binary_snapshot,
@@ -270,7 +271,15 @@ def _decode_elimination(payload: dict, graph: Graph) -> EliminationResult:
     ]
     position: list[int | None] = [None] * graph.n
     for i, step in enumerate(steps):
+        if not 0 <= step.node < graph.n or position[step.node] is not None:
+            raise SerializationError(
+                f"elimination step {i} names node {step.node} outside the "
+                f"reduced graph (or twice)"
+            )
         position[step.node] = i
+        fault = step_neighbor_fault(step.node, step.neighbors, graph.n)
+        if fault is not None:
+            raise SerializationError(f"elimination step {i} lists {fault}")
     return EliminationResult(
         graph=graph,
         steps=steps,

@@ -11,10 +11,12 @@ in a handful of array ops.  This package holds those kernels:
   intersections over one flat label store;
 * :mod:`repro.kernels.ct_kernels` — the CT-Index 4-case dispatch,
   including the Lemma 9 extension operation as array reductions;
-* :mod:`repro.kernels.psl_rounds` and :mod:`repro.kernels.pll_search`
-  — construction kernels: the PSL rounds and the weighted PLL searches,
-  each label-identical to its pure-Python path.  Construction reads no
-  flat store, so builders resolve ``"auto"`` with ``flat=True``.
+* :mod:`repro.kernels.psl_rounds`, :mod:`repro.kernels.pll_search` and
+  :mod:`repro.kernels.tree_labels` — construction kernels: the PSL
+  rounds, the weighted PLL searches and the level-synchronous forest
+  labels, each label-identical to its pure-Python path.  Construction
+  reads no flat store, so builders resolve ``"auto"`` with
+  ``flat=True``.
 
 NumPy stays **optional**: this module imports without it, and the
 submodules above (which do ``import numpy``) are only loaded once
@@ -35,9 +37,12 @@ suite pins this — so selection is purely a performance choice.
 
 :func:`numpy_available` alone also picks the NumPy paths that sit beside
 their Python references outside this package: the twin reduction
-(:mod:`repro.graphs.reductions`), the LCA sparse table
-(:mod:`repro.treedec.lca`) and the snapshot writer and graph loader
-(:mod:`repro.storage.binary`).  Their outputs are identical either way.
+(:mod:`repro.graphs.reductions`), the core-tree parents
+(:mod:`repro.treedec.core_tree`), the LCA Euler tour and sparse table
+(:mod:`repro.treedec.lca`), the tree-label packer and validator
+(:mod:`repro.storage.flat_tree`) and the snapshot writer and loader
+checks (:mod:`repro.storage.binary`).  Their outputs are identical
+either way.
 """
 
 from __future__ import annotations

@@ -52,6 +52,17 @@ def as_ndarray(values) -> np.ndarray:
     return view
 
 
+def as_typed_array(typecode: str, values: np.ndarray) -> array:
+    """``values`` copied into an ``array(typecode)`` of the same item layout.
+
+    The inverse of :func:`as_ndarray`, for arrays a builder hands to a
+    flat store.
+    """
+    out = array(typecode)
+    out.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+    return out
+
+
 def _widened(view: np.ndarray, values: array) -> np.ndarray:
     """``view`` upcast so pairwise sums cannot overflow; no-op when wide.
 

@@ -53,6 +53,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import accumulate
 from pathlib import Path
 from typing import Union
 
@@ -674,6 +675,50 @@ def load_ct_index_binary(path: PathLike, *, backend: str = "flat", mmap: bool = 
             ) from exc
 
 
+def step_neighbor_fault(node: int, neighbors, n: int) -> str | None:
+    """What is wrong with one step's neighbor ids, or ``None``."""
+    for u in neighbors:
+        if not 0 <= u < n:
+            return f"neighbor id {u} outside [0, {n})"
+    if node in neighbors:
+        return f"its own node {node} as a neighbor"
+    if len(set(neighbors)) != len(neighbors):
+        return "a repeated neighbor id"
+    return None
+
+
+def _first_neighbor_fault(nodes, counts, flat_neighbors, n: int):
+    """``(step, fault)`` for the first step whose neighbor ids are out of
+    range, name the step's own node or repeat; ``None`` when all are
+    sound.  With NumPy only the steps flagged by array checks (a bad id,
+    or a run that is not strictly ascending) are re-checked one by one."""
+    if numpy_available() and len(flat_neighbors):
+        import numpy as np
+
+        from repro.kernels.views import as_ndarray
+
+        ids = as_ndarray(flat_neighbors).astype(np.int64)
+        sizes = as_ndarray(counts).astype(np.int64)
+        owner = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
+        own = as_ndarray(nodes).astype(np.int64)[owner]
+        bad = (ids < 0) | (ids >= n) | (ids == own)
+        unsorted = (owner[1:] == owner[:-1]) & (ids[1:] <= ids[:-1])
+        flagged = np.zeros(len(nodes), dtype=bool)
+        flagged[owner[bad]] = True
+        flagged[owner[1:][unsorted]] = True
+        flagged = np.flatnonzero(flagged)
+        starts = np.cumsum(sizes) - sizes
+        suspects = zip(flagged.tolist(), starts[flagged].tolist())
+    else:
+        suspects = zip(range(len(nodes)), accumulate(counts, initial=0))
+    for i, start in suspects:
+        neighbors = flat_neighbors[start : start + counts[i]]
+        fault = step_neighbor_fault(nodes[i], neighbors, n)
+        if fault is not None:
+            return i, fault
+    return None
+
+
 def _decode_snapshot(
     path: Path,
     sections: dict[str, bytes],
@@ -773,6 +818,9 @@ def _decode_snapshot(
                 f"reduced graph (or twice) in {path}"
             )
         position[step.node] = i
+    fault = _first_neighbor_fault(nodes, counts, flat_neighbors, reduced.n)
+    if fault is not None:
+        raise SerializationError(f"elimination step {fault[0]} lists {fault[1]} in {path}")
     if core_nodes != sorted(set(core_nodes)):
         raise SerializationError(f"core node list of {path} is not sorted-unique")
     if len(core_nodes) != len(core_counts) or sum(core_counts) != len(core_targets):

@@ -23,9 +23,11 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
+from itertools import chain, islice
 
 from repro.exceptions import StorageError
 from repro.graphs.graph import INF, Weight
+from repro.kernels import numpy_available
 from repro.storage.flat_labels import (
     FLOAT_TYPECODES,
     INT_DIST_TYPECODE,
@@ -109,23 +111,8 @@ class FlatTreeLabelStore(Sequence):
             raise StorageError(
                 f"{len(targets)} tree-label targets but {len(dists)} distances"
             )
-        if validate:
-            previous = 0
-            for pos in range(len(offsets) - 1):
-                start, stop = offsets[pos], offsets[pos + 1]
-                if start != previous or stop < start:
-                    raise StorageError(
-                        f"tree-label offsets are not monotone at position {pos}"
-                    )
-                previous = stop
-                last = -1
-                for i in range(start, stop):
-                    if targets[i] <= last:
-                        raise StorageError(
-                            f"tree-label run of position {pos} is not strictly "
-                            f"ascending in target id"
-                        )
-                    last = targets[i]
+        if validate and not (numpy_available() and _well_formed(offsets, targets)):
+            _check_runs(offsets, targets)
         self._offsets = offsets
         self._targets = targets
         self._dists = dists
@@ -137,6 +124,10 @@ class FlatTreeLabelStore(Sequence):
         """Pack a sequence of ``{target: distance}`` mappings."""
         if isinstance(labels, cls):
             return labels
+        if numpy_available():
+            packed = _pack_numpy(labels)
+            if packed is not None:
+                return cls(*packed)
         offsets = array(OFFSET_TYPECODE, [0])
         targets = array(OFFSET_TYPECODE)
         dists: list[Weight] = []
@@ -149,7 +140,20 @@ class FlatTreeLabelStore(Sequence):
 
     def to_dicts(self) -> list[dict[int, Weight]]:
         """Unpack into the dict backend's ``list[dict]`` layout."""
-        return [dict(self.iter_items(pos)) for pos in range(len(self))]
+        offsets = self._offsets.tolist()
+        dists = self._dists
+        if dists.typecode not in FLOAT_TYPECODES and INF_SENTINEL in dists:
+            dists = (INF if value == INF_SENTINEL else value for value in dists)
+        # Keys share one int object per node id, as the Python sweep's
+        # labels share the elimination's node ids, instead of one per entry.
+        targets = self._targets
+        if len(targets) and min(targets) >= 0:
+            targets = map(list(range(max(targets) + 1)).__getitem__, targets)
+        pairs = zip(targets, dists)
+        return [
+            dict(islice(pairs, stop - start))
+            for start, stop in zip(offsets, offsets[1:])
+        ]
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -185,19 +189,6 @@ class FlatTreeLabelStore(Sequence):
         targets = self._targets
         for i in range(start, stop):
             yield targets[i]
-
-    def iter_items(self, pos: int):
-        """Iterate ``(target, distance)`` pairs of ``pos``'s run."""
-        start, stop = self._offsets[pos], self._offsets[pos + 1]
-        targets = self._targets
-        dists = self._dists
-        decode_inf = dists.typecode not in FLOAT_TYPECODES
-        for i in range(start, stop):
-            value = dists[i]
-            if decode_inf and value == INF_SENTINEL:
-                yield targets[i], INF
-            else:
-                yield targets[i], value
 
     def local_get(self, pos: int, target: int, default=None):
         """δ^T lookup: binary search ``target`` inside ``pos``'s run."""
@@ -235,3 +226,78 @@ class FlatTreeLabelStore(Sequence):
 
     def __hash__(self) -> int:  # pragma: no cover - stores are not dict keys
         return id(self)
+
+
+def _check_runs(offsets, targets) -> None:
+    """Raise on the first non-monotone offset or non-ascending run."""
+    previous = 0
+    for pos in range(len(offsets) - 1):
+        start, stop = offsets[pos], offsets[pos + 1]
+        if start != previous or stop < start:
+            raise StorageError(f"tree-label offsets are not monotone at position {pos}")
+        previous = stop
+        last = -1
+        for i in range(start, stop):
+            if targets[i] <= last:
+                raise StorageError(
+                    f"tree-label run of position {pos} is not strictly "
+                    f"ascending in target id"
+                )
+            last = targets[i]
+
+
+def _well_formed(offsets, targets) -> bool:
+    """:func:`_check_runs` as array operations: True when it would pass.
+
+    A False answer sends the caller to :func:`_check_runs`, which names
+    the offending position.
+    """
+    import numpy as np
+
+    from repro.kernels.views import as_ndarray
+
+    bounds = as_ndarray(offsets).astype(np.int64)
+    if (bounds[1:] < bounds[:-1]).any():
+        return False
+    ids = as_ndarray(targets).astype(np.int64)
+    ascending = np.ones(ids.size, dtype=bool)
+    ascending[1:] = ids[1:] > ids[:-1]
+    starts = bounds[:-1][bounds[1:] > bounds[:-1]]
+    ascending[starts] = ids[starts] > -1
+    return bool(ascending.all())
+
+
+def _pack_numpy(labels):
+    """:meth:`FlatTreeLabelStore.from_labels` arrays, sorted by (position,
+    target) with one ``argsort`` unless the runs already ascend;
+    ``None`` leaves non-integer targets and distances that are not all
+    ``int`` to the Python packer."""
+    import numpy as np
+
+    from repro.kernels.views import as_typed_array
+
+    sizes = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    total = int(sizes.sum())
+    values = [label.values() for label in labels]
+    if not set(map(type, chain.from_iterable(values))) <= {int}:
+        return None
+    try:
+        targets = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=total)
+        dists = np.fromiter(chain.from_iterable(values), dtype=np.int64, count=total)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if total and targets.min() < 0:
+        return None
+    width = int(targets.max()) + 1 if total else 1
+    key = np.repeat(np.arange(len(labels), dtype=np.int64) * width, sizes) + targets
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key)
+        targets, dists = targets[order], dists[order]
+    del key
+    offsets = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return (
+        as_typed_array(OFFSET_TYPECODE, offsets),
+        as_typed_array(OFFSET_TYPECODE, targets),
+        as_typed_array(INT_DIST_TYPECODE, dists),
+    )

@@ -82,6 +82,10 @@ class MappedArray:
         """A private-memory copy of the raw little-endian items."""
         return self.raw.tobytes()
 
+    def tolist(self) -> list:
+        """The items as a list (mirrors ``array.tolist``)."""
+        return self.raw.tolist()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MappedArray(typecode={self.typecode!r}, len={len(self)})"
 

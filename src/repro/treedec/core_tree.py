@@ -15,6 +15,7 @@ import dataclasses
 
 from repro.exceptions import DecompositionError
 from repro.graphs.graph import Graph, Weight
+from repro.kernels import numpy_available
 from repro.treedec.elimination import EliminationResult, minimum_degree_elimination
 from repro.treedec.lca import ForestLCA
 
@@ -208,20 +209,13 @@ def core_tree_decomposition(
             f"but {bandwidth} was requested"
         )
 
-    position = elimination.position
     boundary = elimination.boundary
-    parent: list[int | None] = [None] * boundary
+    parent = (
+        _parents_numpy(elimination) if numpy_available() else _parents_python(elimination)
+    )
     root: list[int] = [0] * boundary
     depth: list[int] = [0] * boundary
     interface: dict[int, tuple[int, ...]] = {}
-
-    for pos in range(boundary - 1, -1, -1):
-        step = elimination.steps[pos]
-        tree_positions = [position[u] for u in step.neighbors if position[u] is not None]
-        if tree_positions:
-            parent[pos] = min(tree_positions)  # f(i): earliest-eliminated neighbor
-        else:
-            parent[pos] = None
 
     # Roots and depths need a top-down sweep; parents always have larger
     # positions, so descending position order visits parents first.
@@ -243,3 +237,34 @@ def core_tree_decomposition(
         depth=depth,
         interface=interface,
     )
+
+
+def _parents_python(elimination: EliminationResult) -> list[int | None]:
+    """``f(i)`` per position: the earliest-eliminated tree neighbor."""
+    position = elimination.position
+    parent: list[int | None] = []
+    for step in elimination.steps:
+        tree_positions = [position[u] for u in step.neighbors if position[u] is not None]
+        parent.append(min(tree_positions) if tree_positions else None)
+    return parent
+
+
+def _parents_numpy(elimination: EliminationResult) -> list[int | None]:
+    """:func:`_parents_python` as one ``np.minimum.reduceat`` over the
+    neighbor positions (core neighbors count as ``boundary``)."""
+    import numpy as np
+
+    from repro.kernels.arrays import neighbor_csr, optional_ids
+
+    boundary = elimination.boundary
+    indptr, neighbors = neighbor_csr(elimination)
+    at = optional_ids(elimination.position)[neighbors]
+    at[at < 0] = boundary
+    parent = np.full(boundary, boundary, dtype=np.int64)
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if rows.size:
+        parent[rows] = np.minimum.reduceat(at, indptr[rows])
+    # One int object per position, shared by its children's cells.
+    ids = np.arange(boundary + 1).astype(object)
+    ids[boundary] = None
+    return ids[parent].tolist()

@@ -24,56 +24,17 @@ class ForestLCA:
     """
 
     def __init__(self, parent: list[int | None]) -> None:
-        n = len(parent)
         self._parent = list(parent)
-        children: list[list[int]] = [[] for _ in range(n)]
-        roots: list[int] = []
-        for v, p in enumerate(parent):
-            if p is None:
-                roots.append(v)
-            else:
-                if not 0 <= p < n:
-                    raise DecompositionError(f"parent {p} of node {v} is out of range")
-                children[p].append(v)
-
-        self._euler: list[int] = []
-        self._depth_at: list[int] = []
-        self._first: list[int] = [-1] * n
-        self._depth: list[int] = [0] * n
-        self._root_of: list[int] = [-1] * n
-        for root in roots:
-            self._tour(root, children)
-        if any(r == -1 for r in self._root_of):
-            raise DecompositionError("parent array contains a cycle")
-        self._build_sparse_table()
-
-    def _tour(self, root: int, children: list[list[int]]) -> None:
-        """Iterative Euler tour of one tree."""
-        stack: list[tuple[int, int]] = [(root, 0)]
-        self._depth[root] = 0
-        self._root_of[root] = root
-        while stack:
-            v, child_index = stack.pop()
-            self._record(v)
-            if child_index < len(children[v]):
-                stack.append((v, child_index + 1))
-                child = children[v][child_index]
-                self._depth[child] = self._depth[v] + 1
-                self._root_of[child] = root
-                stack.append((child, 0))
-
-    def _record(self, v: int) -> None:
-        if self._first[v] == -1:
-            self._first[v] = len(self._euler)
-        self._euler.append(v)
-        self._depth_at.append(self._depth[v])
-
-    def _build_sparse_table(self) -> None:
-        size = len(self._euler)
-        self._log = [0] * (size + 1)
-        for i in range(2, size + 1):
-            self._log[i] = self._log[i // 2] + 1
-        build = _sparse_table_numpy if numpy_available() else _sparse_table_python
+        fast = numpy_available()
+        tour = _tour_numpy if fast else _tour_python
+        (
+            self._euler,
+            self._depth_at,
+            self._first,
+            self._depth,
+            self._root_of,
+        ) = tour(self._parent)
+        build = _sparse_table_numpy if fast else _sparse_table_python
         self._table = build(self._depth_at)
 
     @property
@@ -100,7 +61,7 @@ class ForestLCA:
         i, j = self._first[u], self._first[v]
         if i > j:
             i, j = j, i
-        k = self._log[j - i + 1]
+        k = (j - i + 1).bit_length() - 1
         left = self._table[k][i]
         right = self._table[k][j - (1 << k) + 1]
         winner = left if self._depth_at[left] <= self._depth_at[right] else right
@@ -109,6 +70,123 @@ class ForestLCA:
     def is_ancestor(self, ancestor: int, v: int) -> bool:
         """True when ``ancestor`` is ``v`` itself or a proper ancestor."""
         return self.same_tree(ancestor, v) and self.lca(ancestor, v) == ancestor
+
+
+def _tour_python(parent: list[int | None]):
+    """Euler tour of a forest: ``(euler, depth_at, first, depth, root_of)``.
+
+    Trees are toured in ascending root id, children in ascending id;
+    ``euler`` lists a node on entry and again after each child's
+    subtree, ``depth_at`` is the depth of each tour entry and ``first``
+    each node's first tour index.
+    """
+    n = len(parent)
+    children: list[list[int]] = [[] for _ in range(n)]
+    roots: list[int] = []
+    for v, p in enumerate(parent):
+        if p is None:
+            roots.append(v)
+        else:
+            if not 0 <= p < n:
+                raise DecompositionError(f"parent {p} of node {v} is out of range")
+            children[p].append(v)
+
+    euler: list[int] = []
+    depth_at: list[int] = []
+    first = [-1] * n
+    depth = [0] * n
+    root_of = [-1] * n
+    for root in roots:
+        stack: list[tuple[int, int]] = [(root, 0)]
+        root_of[root] = root
+        while stack:
+            v, child_index = stack.pop()
+            if first[v] == -1:
+                first[v] = len(euler)
+            euler.append(v)
+            depth_at.append(depth[v])
+            if child_index < len(children[v]):
+                stack.append((v, child_index + 1))
+                child = children[v][child_index]
+                depth[child] = depth[v] + 1
+                root_of[child] = root
+                stack.append((child, 0))
+    if -1 in root_of:
+        raise DecompositionError("parent array contains a cycle")
+    return euler, depth_at, first, depth, root_of
+
+
+def _tour_numpy(parent: list[int | None]):
+    """:func:`_tour_python` from level-order subtree sizes.
+
+    A node's subtree spans ``2 * size - 1`` tour entries.  A root's
+    first entry follows the earlier trees; a child's follows its
+    parent's first entry and the ``2 * size`` entries of each earlier
+    sibling (its subtree plus the parent's re-entry).  The parent's
+    re-entry after child ``c`` sits at ``first[c] + 2 * size[c] - 1``.
+    """
+    import numpy as np
+
+    from repro.kernels.arrays import optional_ids, ranges
+
+    n = len(parent)
+    try:
+        up = optional_ids(parent)
+    except (OverflowError, TypeError):
+        return _tour_python(parent)
+    is_root = np.fromiter((p is None for p in parent), dtype=bool, count=n)
+    bad = ~is_root & ((up < 0) | (up >= n))
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise DecompositionError(f"parent {parent[v]} of node {v} is out of range")
+    children = np.flatnonzero(~is_root)
+    children = children[np.argsort(up[children], kind="stable")]
+    child_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(up[children], minlength=n), out=child_ptr[1:])
+
+    depth = np.zeros(n, dtype=np.int64)
+    root_of = np.full(n, -1, dtype=np.int64)
+    levels = [np.flatnonzero(is_root)]
+    root_of[levels[0]] = levels[0]
+    reached = levels[0].size
+    while reached < n:
+        above = levels[-1]
+        below = children[
+            ranges(child_ptr[above], child_ptr[above + 1] - child_ptr[above])
+        ]
+        if not below.size:
+            raise DecompositionError("parent array contains a cycle")
+        depth[below] = len(levels)
+        root_of[below] = root_of[up[below]]
+        levels.append(below)
+        reached += below.size
+
+    size = np.ones(n, dtype=np.int64)
+    for below in reversed(levels[1:]):
+        np.add.at(size, up[below], size[below])
+    span = 2 * size[children]
+    before = np.cumsum(span) - span
+    sibling_offset = np.zeros(n, dtype=np.int64)
+    sibling_offset[children] = before - before[child_ptr[up[children]]]
+    first = np.zeros(n, dtype=np.int64)
+    roots = levels[0]
+    tree_span = 2 * size[roots] - 1
+    first[roots] = np.cumsum(tree_span) - tree_span
+    for below in levels[1:]:
+        first[below] = first[up[below]] + 1 + sibling_offset[below]
+    euler = np.empty(2 * n - roots.size, dtype=np.int64)
+    euler[first] = np.arange(n, dtype=np.int64)
+    euler[first[children] + span - 1] = up[children]
+    # One int object per node id, shared by every list (as the Python
+    # tour shares them), instead of one per list cell.
+    ids = np.arange(n).astype(object)
+    return (
+        ids[euler].tolist(),
+        ids[depth[euler]].tolist(),
+        first.tolist(),
+        ids[depth].tolist(),
+        ids[root_of].tolist(),
+    )
 
 
 def _sparse_table_python(depth_at: list[int]) -> list[list[int]]:

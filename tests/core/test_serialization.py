@@ -272,3 +272,30 @@ class TestGoldenFixtures:
         v3 = (GOLDEN_DIR / "index_v3.ctsnap").stat().st_size
         v4 = (GOLDEN_DIR / "index_v4.ctsnap").stat().st_size
         assert v4 < v3
+
+
+class TestJsonStepNeighborIds:
+    """JSON documents get the binary loader's elimination-step checks."""
+
+    @pytest.mark.parametrize("fault", ["negative", "n", "own", "repeat"])
+    def test_rejected(self, tmp_path, fault):
+        import json
+
+        from repro.core.ct_index import CTIndex
+        from repro.core.serialization import load_ct_index, save_ct_index
+        from repro.exceptions import SerializationError
+        from repro.graphs.generators.random_graphs import gnp_graph
+
+        index = CTIndex.build(gnp_graph(30, 0.15, seed=21), 4)
+        save_ct_index(index, tmp_path / "index.json")
+        document = json.loads((tmp_path / "index.json").read_text())
+        steps = document["elimination"]["steps"]
+        i = next(i for i, step in enumerate(steps) if step["neighbors"])
+        step = steps[i]
+        n = index.reduction.reduced.n
+        bad = {"negative": -1, "n": n, "own": step["node"], "repeat": step["neighbors"][0]}
+        step["neighbors"].append(bad[fault])
+        step["local_distance"].setdefault(str(bad[fault]), 1)
+        (tmp_path / "bad.json").write_text(json.dumps(document))
+        with pytest.raises(SerializationError, match=f"elimination step {i} lists"):
+            load_ct_index(tmp_path / "bad.json")

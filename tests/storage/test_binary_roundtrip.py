@@ -248,3 +248,35 @@ class TestWriterKernels:
 
         written = snapshot(tmp_path / "state.ctsnap")
         assert written == python_path(snapshot, tmp_path / "python.ctsnap")
+
+
+class TestStepNeighborIds:
+    """Elimination steps naming a neighbor id outside the reduced graph,
+    the step's own node or a repeat are refused at load, in both modes."""
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["copy", "mmap"])
+    @pytest.mark.parametrize("fault", ["negative", "n", "own", "repeat"])
+    def test_rejected(self, kernel_state, tmp_path, mmap, fault):
+        from repro.treedec.elimination import EliminationStep
+
+        index = CTIndex.build(gnp_graph(30, 0.15, seed=21), 4)
+        steps = index.decomposition.elimination.steps
+        i = next(i for i, step in enumerate(steps) if step.neighbors)
+        step = steps[i]
+        n = index.reduction.reduced.n
+        bad = {"negative": -1, "n": n, "own": step.node, "repeat": step.neighbors[0]}[fault]
+        steps[i] = EliminationStep(
+            node=step.node,
+            neighbors=step.neighbors + (bad,),
+            local_distance={bad: 1, **step.local_distance},
+        )
+        path = tmp_path / "bad.ctsnap"
+        save_ct_index_binary(index, path)
+        with pytest.raises(SerializationError, match=f"elimination step {i} lists"):
+            load_ct_index(path, mmap=mmap)
+
+    def test_sound_snapshot_loads_in_both_modes(self, kernel_state, built):
+        _, index, _, binary_path = built
+        for mmap in (False, True):
+            loaded = load_ct_index(binary_path, mmap=mmap)
+            assert index_fingerprint(loaded) == index_fingerprint(index)

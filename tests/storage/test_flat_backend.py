@@ -138,3 +138,63 @@ class TestResidency:
         assert flat_bytes["core"] < dict_bytes["core"]
         assert set(flat_bytes) == {"core", "tree", "total"}
         assert flat_bytes["total"] == flat_bytes["core"] + flat_bytes["tree"]
+
+
+class TestTreeStoreKernels:
+    """The NumPy packer, validator and unpacker match the Python ones."""
+
+    BAD_STORES = {
+        "non-monotone offsets": (
+            [0, 2, 1, 3], [1, 2, 3], "offsets are not monotone at position 1"
+        ),
+        "descending run": ([0, 2, 3], [5, 4, 1], "run of position 0 is not strictly"),
+        "duplicate target": ([0, 1, 3], [7, 4, 4], "run of position 1 is not strictly"),
+        "negative target": ([0, 0, 1], [-3], "run of position 1 is not strictly"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_STORES))
+    def test_validation_names_the_position(self, kernel_state, name):
+        from array import array
+
+        from repro.exceptions import StorageError
+
+        offsets, targets, message = self.BAD_STORES[name]
+        with pytest.raises(StorageError, match=message):
+            FlatTreeLabelStore(
+                array("q", offsets), array("q", targets), array("q", [1] * len(targets))
+            )
+
+    def test_well_formed_runs_pass(self, kernel_state):
+        from array import array
+
+        store = FlatTreeLabelStore(
+            array("q", [0, 2, 2, 5]), array("q", [3, 9, 0, 1, 8]), array("q", [1] * 5)
+        )
+        assert [store.run_size(p) for p in range(3)] == [2, 0, 3]
+
+    LABELS = {
+        "ints": [{5: 1, 2: 3}, {}, {9: 4, 0: 0, 3: 2}],
+        "inf": [{4: float("inf"), 1: 2}, {7: 3}],
+        "floats": [{3: 0.5, 1: 1.25}, {2: 2.0}],
+        "mixed": [{3: 1, 1: 1.5}],
+        "empty dicts": [{}, {}],
+        "no positions": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(LABELS))
+    def test_from_labels_bytes(self, kernel_state, python_path, name):
+        labels = self.LABELS[name]
+        packed = FlatTreeLabelStore.from_labels(labels)
+        expected = python_path(FlatTreeLabelStore.from_labels, labels)
+        for mine, theirs in zip(packed.csr_arrays(), expected.csr_arrays()):
+            assert (mine.typecode, mine.tobytes()) == (theirs.typecode, theirs.tobytes())
+        assert packed.to_dicts() == labels
+
+    def test_mapped_store_unpacks(self, tmp_path):
+        from repro.core.serialization import load_ct_index
+        from repro.storage.binary import save_ct_index_binary
+
+        index = CTIndex.build(random_weighted(gnp_graph(40, 0.1, seed=3), 1, 9, seed=4), 3)
+        save_ct_index_binary(index, tmp_path / "index.ctsnap")
+        mapped = load_ct_index(tmp_path / "index.ctsnap", mmap=True)
+        assert mapped.tree_index.labels.to_dicts() == index.tree_index.labels

@@ -150,3 +150,30 @@ class TestGeneral:
         ctd = core_tree_decomposition(Graph.empty(0), 5)
         assert ctd.boundary == 0
         assert ctd.roots == []
+
+
+class TestParentKernels:
+    """The NumPy parent computation gives the Python decomposition."""
+
+    @pytest.mark.parametrize("bandwidth", [0, 1, 2, 4, 8, 30])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_structure(self, kernel_state, python_path, bandwidth, seed):
+        from repro.graphs.generators.random_graphs import random_weighted
+
+        graph = random_weighted(gnp_graph(60, 0.07, seed=seed), 1, 9, seed=seed)
+        fast = core_tree_decomposition(graph, bandwidth)
+        slow = python_path(
+            lambda: core_tree_decomposition(graph, bandwidth, elimination=fast.elimination)
+        )
+        assert (fast.parent, fast.root, fast.depth, fast.interface) == (
+            slow.parent, slow.root, slow.depth, slow.interface
+        )
+        assert fast._lca._euler == slow._lca._euler
+
+    def test_empty_and_edgeless(self, kernel_state, python_path):
+        for graph in (Graph.empty(0), Graph.empty(4), clique_graph(5)):
+            fast = core_tree_decomposition(graph, 2)
+            slow = python_path(lambda: core_tree_decomposition(graph, 2))
+            assert (fast.parent, fast.root, fast.depth, fast.interface) == (
+                slow.parent, slow.root, slow.depth, slow.interface
+            )

@@ -145,3 +145,42 @@ class TestSparseTableKernels:
         assert len(lca._table) == 10  # 599 tour entries
         assert [list(row) for row in lca._table] == _sparse_table_python(lca._depth_at)
         assert lca.lca(299, 150) == 150
+
+
+def tour_lists(lca: ForestLCA) -> tuple:
+    return lca._euler, lca._depth_at, lca._first, lca._depth, lca._root_of
+
+
+class TestTourKernels:
+    """The NumPy Euler tour equals the Python one cell for cell."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(parent=forests())
+    def test_random_forests(self, kernel_state, python_path, parent):
+        assert tour_lists(ForestLCA(parent)) == tour_lists(python_path(ForestLCA, parent))
+
+    @pytest.mark.parametrize(
+        "parent",
+        [[], [None], [None, None], [None] + list(range(299)), [None, 0, 0, 0, 1, 1, 2]],
+        ids=["empty", "one", "two-roots", "deep-path", "bushy"],
+    )
+    def test_named_forests(self, kernel_state, python_path, parent):
+        assert tour_lists(ForestLCA(parent)) == tour_lists(python_path(ForestLCA, parent))
+
+    @pytest.mark.parametrize("parent", [[1, 0], [None, 2, 1], [None, 0, 3, 4, 2]])
+    def test_cycle_raises(self, kernel_state, parent):
+        with pytest.raises(DecompositionError, match="contains a cycle"):
+            ForestLCA(parent)
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [([5], "parent 5 of node 0"), ([None, -1], "parent -1 of node 1"),
+         ([None, 0, 3], "parent 3 of node 2")],
+    )
+    def test_out_of_range_parent_raises(self, kernel_state, parent, message):
+        with pytest.raises(DecompositionError, match=f"{message} is out of range"):
+            ForestLCA(parent)
